@@ -10,13 +10,12 @@ count) are byte-identical.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .covariance import Stage, raw_cov, train_cov_forests, write_matrix_csv
-from .data import CsvFormatError, CsvLayout, load_returns_csv
+from .data import CsvFormatError, CsvLayout, load_query_csv, load_returns_csv
 from .forest import ForestConfig
 from .portfolio import BacktestSpec, backtest
 from .simulation import (
@@ -72,6 +71,10 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
         cli_value = getattr(args, key.replace("-", "_"), None)
         if cli_value is not None:
             merged[key] = cli_value
+    if merged["workers"] < 1:
+        raise UsageError(f"--workers must be >= 1, got {merged['workers']}")
+    # More threads than cores cannot help; results are the same at any count.
+    merged["workers"] = min(merged["workers"], os.cpu_count() or 1)
     return merged
 
 
@@ -202,7 +205,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     rule = ThresholdRule.parse(cfg["rule"])
 
     dataset = load_returns_csv(cfg["train"], layout)
-    queries = np.loadtxt(cfg["query"], delimiter=",", skiprows=1, ndmin=2)
+    queries = load_query_csv(cfg["query"])
     if queries.shape[1] != dataset.d:
         raise UsageError(
             f"query points have {queries.shape[1]} columns, training data has d={dataset.d}"

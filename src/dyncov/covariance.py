@@ -9,7 +9,7 @@ semidefinite; see :mod:`dyncov.thresholding` for the corrected stages.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -95,19 +95,12 @@ def train_cov_forests(
     """Train the mean and second-moment forests for raw_cov.
 
     With ``shared=True`` the second-moment forest reuses the mean forest's
-    trees (same partitions for both weightings), which makes raw_cov exactly
-    positive semidefinite at the cost of the two-forest structure.
+    node arrays (same partitions for both weightings), which makes raw_cov
+    exactly positive semidefinite at the cost of the two-forest structure.
     """
     mean_forest = train_forest(dataset, config, ResponseKind.MEAN, workers=workers)
     if shared:
-        sm_forest = Forest(
-            trees=mean_forest.trees,
-            config=mean_forest.config,
-            response_kind=ResponseKind.SECOND_MOMENT,
-            n=mean_forest.n,
-            d=mean_forest.d,
-            dataset_fingerprint=mean_forest.dataset_fingerprint,
-        )
+        sm_forest = replace(mean_forest, response_kind=ResponseKind.SECOND_MOMENT)
     else:
         sm_forest = train_forest(dataset, config, ResponseKind.SECOND_MOMENT, workers=workers)
     return mean_forest, sm_forest

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -78,6 +79,7 @@ class Dataset:
     y: np.ndarray  # (n, p)
     u: np.ndarray  # (n, d)
     dates: tuple[str, ...] | None = None
+    _fingerprint: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         y = np.ascontiguousarray(np.asarray(self.y, dtype=float))
@@ -120,12 +122,18 @@ class Dataset:
         return Dataset(self.y[idx].copy(), self.u[idx].copy(), dates)
 
     def fingerprint(self) -> str:
-        """Content hash used to guard against mixed-dataset misuse."""
-        h = hashlib.sha256()
-        h.update(np.int64([self.n, self.p, self.d]).tobytes())
-        h.update(self.y.tobytes())
-        h.update(self.u.tobytes())
-        return h.hexdigest()
+        """Content hash used to guard against mixed-dataset misuse.
+
+        Computed on first use and kept: y and u are read-only, so it cannot
+        go stale.
+        """
+        if self._fingerprint is None:
+            h = hashlib.sha256()
+            h.update(np.int64([self.n, self.p, self.d]).tobytes())
+            h.update(self.y.tobytes())
+            h.update(self.u.tobytes())
+            object.__setattr__(self, "_fingerprint", h.hexdigest())
+        return self._fingerprint
 
 
 @dataclass(frozen=True)
@@ -214,6 +222,46 @@ def load_returns_csv(path, layout: CsvLayout) -> Dataset:
         # Date of the response row labels the paired observation.
         dates = tuple(str(rows[t + lag][d_pos]) for t in range(n))
     return Dataset(y, u, dates)
+
+
+def load_query_csv(path) -> np.ndarray:
+    """Load query covariate vectors, one per row, from a headered CSV.
+
+    Every row must have as many cells as the header and every cell must be a
+    finite number.  Errors name the file line (the header is line 1) and the
+    1-based column.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise CsvFormatError(f"{path}: empty file")
+        rows = []
+        for raw in reader:
+            if not raw:
+                continue
+            line = reader.line_num
+            if len(raw) != len(header):
+                raise CsvFormatError(
+                    f"{path}: line {line} has {len(raw)} cells, header has {len(header)}"
+                )
+            row = []
+            for c, cell in enumerate(raw, start=1):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise CsvFormatError(
+                        f"{path}: non-numeric cell at line {line}, column {c} ({cell!r})"
+                    ) from None
+                if not math.isfinite(value):
+                    raise CsvFormatError(
+                        f"{path}: non-finite cell at line {line}, column {c} ({cell!r})"
+                    )
+                row.append(value)
+            rows.append(row)
+    if not rows:
+        raise CsvFormatError(f"{path}: no query rows")
+    return np.array(rows, dtype=float)
 
 
 def write_returns_csv(path, dataset: Dataset, layout: CsvLayout) -> None:

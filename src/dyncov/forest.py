@@ -9,6 +9,22 @@ Split quality is the squared distance between child target means scaled by
 n1*n2/nP^2.  For second-moment targets the p^2-vectors vec(y y^T) are never
 materialized during growth: their inner products reduce to squared response
 inner products, so all split scores come from a per-tree Gram matrix.
+
+Layout.  ``grow_tree`` returns one :class:`Tree`; ``train_forest`` packs the
+B trees of a :class:`Forest` into one set of flat arrays over all its nodes:
+
+- ``feature``, ``threshold``, ``left``, ``right`` with global node ids.  A
+  leaf has feature -1 and is its own left and right child, so routing can
+  step every tree at once and leaves stay put;
+- ``roots``: the root id of each tree; tree b owns nodes
+  ``roots[b]:roots[b + 1]``;
+- leaf members in CSR form: one ``members`` array of dataset indices plus a
+  ``start`` and a ``count`` per node (count 0 at internal nodes).
+
+``weight_vector`` routes a query point through all B trees together, one
+NumPy step per tree level, and adds up the leaves' weights with
+``np.bincount``.  ``Forest.trees`` rebuilds per-tree views for inspection and
+serialization; nothing on the estimation path uses them.
 """
 
 from __future__ import annotations
@@ -73,37 +89,49 @@ class ForestConfig:
 
 @dataclass
 class Tree:
-    """Binary tree over covariate space with J2 index lists at the leaves.
+    """Binary tree over covariate space with its J2 members at the leaves.
 
-    Internal node i splits on ``feature[i]`` at ``threshold[i]`` (<= goes
-    left); leaves have feature -1 and carry the dataset indices of their J2
-    members.  ``oversized`` flags leaves kept above the 2k-1 bound because no
-    feasible split existed.
+    Node ids are local, with the root at 0.  Internal node i splits on
+    ``feature[i]`` at ``threshold[i]`` (<= goes left) into ``left[i]`` and
+    ``right[i]``; leaves have feature -1 and children -1.  Leaf i holds the
+    dataset indices ``members[start[i]:start[i] + count[i]]`` of its J2
+    members; internal nodes have count 0.  ``oversized`` flags leaves kept
+    above the 2k-1 bound because no feasible split existed.
     """
 
     feature: np.ndarray
     threshold: np.ndarray
     left: np.ndarray
     right: np.ndarray
-    leaf_members: list[np.ndarray]
+    start: np.ndarray
+    count: np.ndarray
+    members: np.ndarray
     j1_indices: np.ndarray
-    j2_indices: np.ndarray
     oversized: np.ndarray
 
-    def route(self, u: np.ndarray) -> int:
-        nid = 0
-        while self.feature[nid] >= 0:
-            nid = self.left[nid] if u[self.feature[nid]] <= self.threshold[nid] else self.right[nid]
-        return nid
+    @property
+    def j2_indices(self) -> np.ndarray:
+        """The J2 half of the subsample: the leaves partition it."""
+        return np.sort(self.members)
 
-    def leaf_of(self, u: np.ndarray) -> np.ndarray:
-        """Dataset indices of the J2 members co-leafed with u."""
-        return self.leaf_members[self.route(u)]
+    def leaf_members(self, nid: int) -> np.ndarray:
+        return self.members[self.start[nid] : self.start[nid] + self.count[nid]]
 
 
 @dataclass
 class Forest:
-    trees: list[Tree]
+    """B honest trees packed into flat node arrays; see the module docstring."""
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    start: np.ndarray
+    count: np.ndarray
+    oversized: np.ndarray
+    members: np.ndarray
+    roots: np.ndarray
+    j1: np.ndarray  # (B, |J1|): every tree of a forest draws the same subsample size
     config: ForestConfig
     response_kind: ResponseKind
     n: int
@@ -112,7 +140,65 @@ class Forest:
 
     @property
     def n_trees(self) -> int:
-        return len(self.trees)
+        return len(self.roots)
+
+    @classmethod
+    def from_trees(cls, trees: list[Tree], config: ForestConfig, response_kind: ResponseKind,
+                   n: int, d: int, dataset_fingerprint: str) -> "Forest":
+        """Pack trees into the flat layout, shifting node ids and member offsets."""
+        sizes = [len(t.feature) for t in trees]
+        roots = np.cumsum([0] + sizes[:-1])
+        member_offsets = np.cumsum([0] + [len(t.members) for t in trees[:-1]])
+        nodes = np.arange(sum(sizes))
+        feature = np.concatenate([t.feature for t in trees])
+        leaf = feature < 0
+        shift = np.repeat(roots, sizes)
+        return cls(
+            feature=feature,
+            threshold=np.concatenate([t.threshold for t in trees]),
+            left=np.where(leaf, nodes, np.concatenate([t.left for t in trees]) + shift),
+            right=np.where(leaf, nodes, np.concatenate([t.right for t in trees]) + shift),
+            start=np.concatenate([t.start for t in trees]) + np.repeat(member_offsets, sizes),
+            count=np.concatenate([t.count for t in trees]),
+            oversized=np.concatenate([t.oversized for t in trees]),
+            members=np.concatenate([t.members for t in trees]),
+            roots=roots,
+            j1=np.stack([t.j1_indices for t in trees]),
+            config=config,
+            response_kind=response_kind,
+            n=n,
+            d=d,
+            dataset_fingerprint=dataset_fingerprint,
+        )
+
+    def tree(self, b: int) -> Tree:
+        """Tree b with local node ids.
+
+        Its arrays are slices of the forest's, except ``left``, ``right`` and
+        ``start``, which are shifted to the tree's own ids and offsets.
+        """
+        lo = int(self.roots[b])
+        hi = int(self.roots[b + 1]) if b + 1 < self.n_trees else len(self.feature)
+        feature = self.feature[lo:hi]
+        start = self.start[lo:hi]
+        count = self.count[lo:hi]
+        first = int(start.min())
+        leaf = feature < 0
+        return Tree(
+            feature=feature,
+            threshold=self.threshold[lo:hi],
+            left=np.where(leaf, -1, self.left[lo:hi] - lo),
+            right=np.where(leaf, -1, self.right[lo:hi] - lo),
+            start=start - first,
+            count=count,
+            members=self.members[first : first + int(count.sum())],
+            j1_indices=self.j1[b],
+            oversized=self.oversized[lo:hi],
+        )
+
+    @property
+    def trees(self) -> list[Tree]:
+        return [self.tree(b) for b in range(self.n_trees)]
 
 
 @dataclass(frozen=True)
@@ -259,15 +345,17 @@ def grow_tree(
     d = dataset.d
 
     feature, threshold, left, right = [], [], [], []
-    leaf_members: list[np.ndarray] = []
-    oversized: list[bool] = []
+    start, count, oversized = [], [], []
+    chunks: list[np.ndarray] = []  # leaf members, in the order leaves are closed
+    filled = 0
 
     def new_node() -> int:
         feature.append(-1)
         threshold.append(math.nan)
         left.append(-1)
         right.append(-1)
-        leaf_members.append(np.empty(0, dtype=int))
+        start.append(0)
+        count.append(0)
         oversized.append(False)
         return len(feature) - 1
 
@@ -277,7 +365,9 @@ def grow_tree(
         nid, p1, p2 = stack.pop()
         split = best_split(u[j1[p1]], gram_all[np.ix_(p1, p1)], u[j2[p2]], config, rng, d)
         if split is None:
-            leaf_members[nid] = j2[p2]
+            chunks.append(j2[p2])
+            start[nid], count[nid] = filled, len(p2)
+            filled += len(p2)
             oversized[nid] = len(p2) > 2 * config.min_leaf - 1
             continue
         f, thr = split
@@ -295,9 +385,10 @@ def grow_tree(
         threshold=np.asarray(threshold, dtype=float),
         left=np.asarray(left, dtype=int),
         right=np.asarray(right, dtype=int),
-        leaf_members=leaf_members,
+        start=np.asarray(start, dtype=int),
+        count=np.asarray(count, dtype=int),
+        members=np.concatenate(chunks),
         j1_indices=j1,
-        j2_indices=j2,
         oversized=np.asarray(oversized, dtype=bool),
     )
 
@@ -329,28 +420,36 @@ def train_forest(
             )
     else:
         trees = [_grow_one(dataset, cfg, response_kind, b) for b in range(cfg.n_trees)]
-    return Forest(
-        trees=trees,
-        config=cfg,
-        response_kind=response_kind,
-        n=dataset.n,
-        d=dataset.d,
-        dataset_fingerprint=dataset.fingerprint(),
-    )
+    return Forest.from_trees(trees, cfg, response_kind, dataset.n, dataset.d, dataset.fingerprint())
 
 
 def weight_vector(forest: Forest, u: np.ndarray) -> WeightVector:
-    """Co-leaf similarity weights of the training indices for query point u."""
+    """Co-leaf similarity weights of the training indices for query point u.
+
+    A (B,) vector of node ids starts at the roots and every tree advances one
+    level per step until all entries sit on leaves (which route to
+    themselves).  ``bincount`` then adds 1/(B |leaf|) over the leaves'
+    members in tree order, the order of a loop over trees, so the weights
+    are bit-for-bit that loop's.
+    """
     u = np.asarray(u, dtype=float)
     if u.shape != (forest.d,):
         raise ValueError(f"query point must have length d={forest.d}, got shape {u.shape}")
-    dense = np.zeros(forest.n)
-    B = forest.n_trees
-    for tree in forest.trees:
-        members = tree.leaf_of(u)
-        if len(members) == 0:  # cannot occur under the leaf-size invariant
-            continue
-        dense[members] += 1.0 / (B * len(members))
+    if not np.isfinite(u).all():
+        j = int(np.flatnonzero(~np.isfinite(u))[0])
+        raise ValueError(f"query point coordinate {j} is not finite ({u[j]})")
+    node = forest.roots
+    feat = forest.feature[node]
+    # Loop while some tree is not at a leaf yet (argmax is cheaper than max).
+    while feat[feat.argmax()] >= 0:
+        node = np.where(u[feat] <= forest.threshold[node], forest.left[node], forest.right[node])
+        feat = forest.feature[node]
+    count = forest.count[node]
+    ends = np.cumsum(count)
+    # Positions of every reached leaf's members, leaf after leaf.
+    pos = np.arange(ends[-1]) + np.repeat(forest.start[node] - (ends - count), count)
+    vals = 1.0 / np.repeat(len(node) * count, count)
+    dense = np.bincount(forest.members[pos], weights=vals, minlength=forest.n)
     idx = np.flatnonzero(dense)
     return WeightVector(n=forest.n, indices=idx, values=dense[idx])
 
@@ -382,7 +481,7 @@ def forest_to_json(forest: Forest) -> str:
                 "threshold": [repr(float(x)) for x in t.threshold],
                 "left": t.left.tolist(),
                 "right": t.right.tolist(),
-                "leaf_members": [m.tolist() for m in t.leaf_members],
+                "leaf_members": [t.leaf_members(i).tolist() for i in range(len(t.feature))],
                 "j1": t.j1_indices.tolist(),
                 "j2": t.j2_indices.tolist(),
                 "oversized": t.oversized.astype(int).tolist(),
@@ -397,25 +496,31 @@ def forest_from_json(text: str) -> Forest:
     payload = json.loads(text)
     if payload.get("version") != _FORMAT_VERSION:
         raise ValueError(f"unsupported forest format version {payload.get('version')}")
-    trees = [
-        Tree(
-            feature=np.asarray(t["feature"], dtype=int),
-            threshold=np.asarray([float(x) for x in t["threshold"]], dtype=float),
-            left=np.asarray(t["left"], dtype=int),
-            right=np.asarray(t["right"], dtype=int),
-            leaf_members=[np.asarray(m, dtype=int) for m in t["leaf_members"]],
-            j1_indices=np.asarray(t["j1"], dtype=int),
-            j2_indices=np.asarray(t["j2"], dtype=int),
-            oversized=np.asarray(t["oversized"], dtype=bool),
-        )
-        for t in payload["trees"]
-    ]
-    cfg = ForestConfig(**payload["config"])
-    return Forest(
-        trees=trees,
-        config=cfg,
-        response_kind=ResponseKind(payload["response_kind"]),
-        n=payload["n"],
-        d=payload["d"],
-        dataset_fingerprint=payload["dataset_fingerprint"],
+    trees = [_tree_from_payload(t) for t in payload["trees"]]
+    return Forest.from_trees(
+        trees,
+        ForestConfig(**payload["config"]),
+        ResponseKind(payload["response_kind"]),
+        payload["n"],
+        payload["d"],
+        payload["dataset_fingerprint"],
     )
+
+
+def _tree_from_payload(t: dict) -> Tree:
+    leaves = [np.asarray(m, dtype=int) for m in t["leaf_members"]]
+    count = np.asarray([len(m) for m in leaves], dtype=int)
+    tree = Tree(
+        feature=np.asarray(t["feature"], dtype=int),
+        threshold=np.asarray([float(x) for x in t["threshold"]], dtype=float),
+        left=np.asarray(t["left"], dtype=int),
+        right=np.asarray(t["right"], dtype=int),
+        start=np.cumsum(count) - count,
+        count=count,
+        members=np.concatenate(leaves),
+        j1_indices=np.asarray(t["j1"], dtype=int),
+        oversized=np.asarray(t["oversized"], dtype=bool),
+    )
+    if tree.j2_indices.tolist() != sorted(t["j2"]):
+        raise ValueError("a tree's leaf members do not partition its J2 indices")
+    return tree

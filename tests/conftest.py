@@ -43,3 +43,22 @@ def oracle_weights(forest, dataset, u):
         for i in members:
             dense[i] += 1.0 / (B * len(members))
     return dense
+
+
+def loop_weights(forest, u):
+    """The per-tree loop that computed weight_vector before the flat layout.
+
+    Kept as the bit-for-bit reference for the vectorized router: it walks
+    each tree in turn and adds 1/(B |leaf|) to the reached leaf's members.
+    """
+    dense = np.zeros(forest.n)
+    B = forest.n_trees
+    for tree in forest.trees:
+        nid = 0
+        while tree.feature[nid] >= 0:
+            nid = tree.left[nid] if u[tree.feature[nid]] <= tree.threshold[nid] else tree.right[nid]
+        members = tree.leaf_members(nid)
+        if len(members) == 0:  # cannot occur under the leaf-size invariant
+            continue
+        dense[members] += 1.0 / (B * len(members))
+    return dense

@@ -1,10 +1,11 @@
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dyncov import _streams
-from dyncov.cli import EXIT_OK, EXIT_USAGE, main
+from dyncov.cli import _FOREST_DEFAULTS, EXIT_OK, EXIT_USAGE, _merge_config, build_parser, main
 from dyncov.covariance import read_matrix_csv
 from dyncov.data import CsvLayout, write_returns_csv
 from dyncov.simulation import ModelSpec, sample_dataset
@@ -126,6 +127,26 @@ class TestEstimate:
         code = main(["estimate", "--train", str(train), "--query", str(query)])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("text, where", [
+        ("u1,u2\nabc,0.0\n", "non-numeric cell at line 2, column 1"),
+        ("u1,u2\n0.0,0.0\n0.5,nan\n", "non-finite cell at line 3, column 2"),
+        ("u1,u2\n0.0,-inf\n", "non-finite cell at line 2, column 2"),
+        ("u1,u2\n0.0,0.0\n0.5\n", "line 3 has 1 cells, header has 2"),
+        ("u1,u2\n", "no query rows"),
+    ])
+    def test_bad_query_cell_is_usage_error(self, tmp_path, capsys, text, where):
+        train, query, _ = self._common(tmp_path)
+        query.write_text(text)
+        out_dir = tmp_path / "est"
+        code = main([
+            "estimate", "--train", str(train), "--query", str(query),
+            "--response-cols", "y1,y2,y3", "--covariate-cols", "u1,u2",
+            "--trees", "4", "--stage", "raw", "--out-dir", str(out_dir),
+        ])
+        assert code == EXIT_USAGE
+        assert where in capsys.readouterr().err
+        assert not out_dir.exists()
+
 
 class TestBacktest:
     def _run(self, tmp_path, extra=(), T=30, out="bt"):
@@ -175,6 +196,23 @@ class TestBacktest:
             "--out", str(tmp_path / "x"),
         ])
         assert code == EXIT_USAGE
+
+
+class TestWorkersFlag:
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_below_one_is_usage_error(self, tmp_path, capsys, workers):
+        code = main(SIM_FLAGS + ["--workers", workers, "--out", str(tmp_path / "x")])
+        assert code == EXIT_USAGE
+        assert "--workers must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_capped_at_cpu_count(self, monkeypatch):
+        # Checked on the merged config: no subcommand runs, so no thread starts.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        args = build_parser().parse_args(["simulate", "--workers", "64"])
+        assert _merge_config(args, dict(_FOREST_DEFAULTS))["workers"] == 2
+        args = build_parser().parse_args(["simulate"])
+        assert _merge_config(args, dict(_FOREST_DEFAULTS))["workers"] == 1
 
 
 class TestWorkerDeterminism:

@@ -99,6 +99,12 @@ class TestDataset:
         assert a.fingerprint() == b.fingerprint()
         assert a.fingerprint() != c.fingerprint()
 
+    def test_fingerprint_computed_once(self):
+        a = Dataset(np.ones((3, 2)), np.zeros((3, 1)))
+        first = a.fingerprint()
+        assert a.fingerprint() is first
+        assert Dataset(a.y.copy(), a.u.copy()).fingerprint() == first
+
     def test_subset_keeps_dates(self):
         ds = Dataset(np.arange(6.0).reshape(3, 2), np.zeros((3, 1)), dates=("a", "b", "c"))
         sub = ds.subset([2, 0])

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from dyncov.covariance import train_cov_forests
 from dyncov.data import Dataset, vec_outer
 from dyncov.forest import (
     Forest,
@@ -20,7 +23,7 @@ from dyncov.forest import (
     weight_vector,
     _target_gram,
 )
-from tests.conftest import make_dataset, oracle_weights, route_independent
+from tests.conftest import loop_weights, make_dataset, oracle_weights, route_independent
 
 
 class TestSubsample:
@@ -188,7 +191,7 @@ def _traverse_leaves(tree):
 
 def _j2_count_below(tree, nid):
     if tree.feature[nid] < 0:
-        return len(tree.leaf_members[nid])
+        return len(tree.leaf_members(nid))
     return _j2_count_below(tree, int(tree.left[nid])) + _j2_count_below(tree, int(tree.right[nid]))
 
 
@@ -200,7 +203,7 @@ class TestGrowTree:
                          cfg, np.random.default_rng(0))
         # |J2| = 5 = k: no feasible split, all of J2 in the root leaf.
         assert tree.feature[0] == -1
-        np.testing.assert_array_equal(np.sort(tree.leaf_members[0]), np.arange(5, 10))
+        np.testing.assert_array_equal(np.sort(tree.leaf_members(0)), np.arange(5, 10))
 
     def test_separable_depth_one(self):
         u = np.concatenate([np.linspace(0.0, 0.2, 8), np.linspace(0.8, 1.0, 8)])[:, None]
@@ -228,8 +231,8 @@ class TestGrowTree:
         t2 = grow_tree(ds2, j1, j2, ResponseKind.SECOND_MOMENT, cfg, np.random.default_rng(5))
         np.testing.assert_array_equal(t1.feature, t2.feature)
         np.testing.assert_array_equal(t1.threshold, t2.threshold)
-        for a, b in zip(t1.leaf_members, t2.leaf_members):
-            np.testing.assert_array_equal(a, b)
+        for nid in range(len(t1.feature)):
+            np.testing.assert_array_equal(t1.leaf_members(nid), t2.leaf_members(nid))
 
     def test_j2_too_small(self):
         ds = make_dataset(n=6, p=1, d=1, seed=0)
@@ -249,7 +252,7 @@ class TestGrowTree:
             assert len(tree.j1_indices) + len(tree.j2_indices) == cfg.subsample_size
             # Leaf size bounds.
             for nid, _ in _traverse_leaves(tree):
-                size = len(tree.leaf_members[nid])
+                size = len(tree.leaf_members(nid))
                 if tree.oversized[nid]:
                     assert size > 2 * k - 1
                 else:
@@ -264,7 +267,7 @@ class TestGrowTree:
             # Every J2 sample routes to the leaf that lists it.
             for i in tree.j2_indices:
                 leaf = route_independent(tree, ds.u[i])
-                assert int(i) in tree.leaf_members[leaf].tolist()
+                assert int(i) in tree.leaf_members(leaf).tolist()
 
 
 class TestTrainForest:
@@ -309,33 +312,33 @@ class TestTrainForest:
 
 def _manual_forest(n, d, trees):
     cfg = ForestConfig(n_trees=len(trees), subsample_size=max(2, n // 2), min_leaf=1, mtry=1, seed=0)
-    return Forest(trees=trees, config=cfg, response_kind=ResponseKind.MEAN,
-                  n=n, d=d, dataset_fingerprint="manual")
+    return Forest.from_trees(trees, cfg, ResponseKind.MEAN, n, d, "manual")
 
 
-def _leaf_tree(members, j2):
+def _leaf_tree(members):
     return Tree(
         feature=np.array([-1]),
         threshold=np.array([math.nan]),
         left=np.array([-1]),
         right=np.array([-1]),
-        leaf_members=[np.asarray(members, dtype=int)],
+        start=np.array([0]),
+        count=np.array([len(members)]),
+        members=np.asarray(members, dtype=int),
         j1_indices=np.array([], dtype=int),
-        j2_indices=np.asarray(j2, dtype=int),
         oversized=np.array([True]),
     )
 
 
 class TestWeightVector:
     def test_single_tree_single_leaf(self):
-        forest = _manual_forest(10, 1, [_leaf_tree([3, 7], [3, 7])])
+        forest = _manual_forest(10, 1, [_leaf_tree([3, 7])])
         w = weight_vector(forest, np.array([0.5])).to_dense()
         expected = np.zeros(10)
         expected[[3, 7]] = 0.5
         np.testing.assert_array_equal(w, expected)
 
     def test_two_tree_average(self):
-        forest = _manual_forest(10, 1, [_leaf_tree([3], [3]), _leaf_tree([3, 7], [3, 7])])
+        forest = _manual_forest(10, 1, [_leaf_tree([3]), _leaf_tree([3, 7])])
         w = weight_vector(forest, np.array([0.5])).to_dense()
         assert w[3] == 0.75
         assert w[7] == 0.25
@@ -387,6 +390,83 @@ class TestWeightVector:
                 u = rng.uniform(-1, 1, d)
                 got = weight_vector(forest, u).to_dense()
                 np.testing.assert_array_equal(got, oracle_weights(forest, ds, u))
+
+
+def _query_points(forest, ds, rng):
+    """Random points, points far outside the covariate hull, training points
+    and points sitting exactly on a split threshold (the <= tie)."""
+    d = forest.d
+    points = [rng.uniform(-1, 1, d), rng.uniform(-1, 1, d) * 50.0, np.full(d, -7.0), np.full(d, 7.0)]
+    points += [ds.u[i] for i in rng.choice(ds.n, size=2, replace=False)]
+    for nid in rng.choice(np.flatnonzero(forest.feature >= 0), size=3) if (forest.feature >= 0).any() else []:
+        u = rng.uniform(-1, 1, d)
+        u[forest.feature[nid]] = forest.threshold[nid]
+        points.append(u)
+    return points
+
+
+class TestFlatRouter:
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        n=st.integers(8, 60),
+        d=st.integers(1, 3),
+        B=st.integers(1, 12),
+        min_leaf=st.integers(1, 5),
+        seed=st.integers(0, 2**16),
+        kind=st.sampled_from(["mean", "second_moment", "shared"]),
+    )
+    def test_matches_oracle_and_seed_loop_exactly(self, n, d, B, min_leaf, seed, kind):
+        n = max(n, 4 * min_leaf)  # |J2| = floor(ceil(n/2)/2) must reach min_leaf
+        ds = make_dataset(n=n, p=2, d=d, seed=seed)
+        # Coarse covariates make many ties between rows and split thresholds.
+        ds = Dataset(ds.y, np.round(ds.u, 1))
+        cfg = ForestConfig(n_trees=B, min_leaf=min_leaf, mtry=d, seed=seed)
+        if kind == "shared":
+            mean_forest, forest = train_cov_forests(ds, cfg, shared=True)
+            assert forest.response_kind is ResponseKind.SECOND_MOMENT
+            for name in ("feature", "threshold", "left", "right", "start", "count", "members", "roots"):
+                assert getattr(forest, name) is getattr(mean_forest, name)
+        else:
+            forest = train_forest(ds, cfg, ResponseKind(kind))
+        for u in _query_points(forest, ds, np.random.default_rng(seed)):
+            got = weight_vector(forest, u).to_dense()
+            np.testing.assert_array_equal(got, oracle_weights(forest, ds, u))
+            assert got.tobytes() == loop_weights(forest, u).tobytes()
+
+    def test_threshold_tie_goes_left(self):
+        u = np.concatenate([np.linspace(0.0, 0.2, 8), np.linspace(0.8, 1.0, 8)])[:, None]
+        y = np.concatenate([np.zeros(8), np.full(8, 10.0)])[:, None]
+        ds = Dataset(y, u)
+        cfg = ForestConfig(n_trees=1, subsample_size=16, min_leaf=4, mtry=1,
+                           random_split_prob=1e-12, seed=0)
+        forest = train_forest(ds, cfg, ResponseKind.MEAN)
+        tree = forest.tree(0)
+        w = weight_vector(forest, tree.threshold[:1])
+        np.testing.assert_array_equal(w.indices, np.sort(tree.leaf_members(tree.left[0])))
+
+    def test_layout_is_flat(self):
+        ds = make_dataset(n=40, p=2, d=2, seed=1)
+        forest = train_forest(ds, ForestConfig(n_trees=5, min_leaf=2, seed=1), ResponseKind.MEAN)
+        N = len(forest.feature)
+        assert forest.roots[0] == 0 and len(forest.roots) == 5
+        leaf = forest.feature < 0
+        # Leaves route to themselves; internal children are global ids in range.
+        np.testing.assert_array_equal(forest.left[leaf], np.flatnonzero(leaf))
+        np.testing.assert_array_equal(forest.right[leaf], np.flatnonzero(leaf))
+        assert ((forest.left[~leaf] > 0) & (forest.right[~leaf] < N)).all()
+        assert (forest.count[~leaf] == 0).all() and (forest.count[leaf] >= 2).all()
+        assert forest.count.sum() == len(forest.members)
+        # Tree views share the forest's memory rather than copying it.
+        tree = forest.tree(2)
+        assert np.shares_memory(tree.feature, forest.feature)
+        assert np.shares_memory(tree.members, forest.members)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_query_rejected(self, bad):
+        ds = make_dataset(n=20, p=1, d=2, seed=0)
+        forest = train_forest(ds, ForestConfig(n_trees=3, min_leaf=2, seed=0), ResponseKind.MEAN)
+        with pytest.raises(ValueError, match="coordinate 1 is not finite"):
+            weight_vector(forest, np.array([0.0, bad]))
 
 
 class TestSerialization:
