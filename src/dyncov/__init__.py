@@ -7,45 +7,20 @@ definiteness.  A Monte Carlo benchmark harness and a rolling minimum-variance
 backtester exercise the estimator end to end.
 """
 
-from .covariance import DynCovEstimate, Stage, cond_mean, cond_second_moment, raw_cov, train_cov_forests
-from .data import CsvLayout, Dataset, Sample, VecIndex, load_returns_csv, map_to_unit_cube, vec_outer
-from .forest import (
-    Forest,
-    ForestConfig,
-    ResponseKind,
-    Tree,
-    WeightVector,
-    delta_criterion,
-    grow_tree,
-    split_sample,
-    subsample,
-    train_forest,
-    weight_vector,
-)
+from .covariance import raw_cov, train_cov_forests
+from .data import CsvLayout, Dataset, load_returns_csv
+from .forest import Forest, ForestConfig, ResponseKind, train_forest, weight_vector
 from .portfolio import BacktestSpec, backtest, min_var_weights, performance
 from .simulation import (
     ExperimentConfig,
     MethodSpec,
     ModelSpec,
     kernel_dcm_baseline,
-    losses,
-    median_over_test_points,
     run_experiment,
     sample_dataset,
-    sparsity_rates,
     static_baseline,
     true_cov,
 )
-from .thresholding import (
-    ForestCV,
-    LambdaSelection,
-    PDCorrection,
-    ThresholdRule,
-    apply_threshold,
-    pd_correct,
-    precision,
-    select_lambda,
-    shrink,
-)
+from .thresholding import ForestCV, LambdaSelection, PDCorrection, ThresholdRule, pd_correct, precision, shrink
 
 __version__ = "0.1.0"

@@ -14,7 +14,7 @@ import os
 import sys
 from pathlib import Path
 
-from .covariance import Stage, raw_cov, train_cov_forests, write_matrix_csv
+from .covariance import raw_cov, train_cov_forests, write_matrix_csv
 from .data import CsvFormatError, CsvLayout, load_query_csv, load_returns_csv
 from .forest import ForestConfig
 from .portfolio import BacktestSpec, backtest
@@ -24,8 +24,7 @@ from .simulation import (
     ModelSpec,
     run_experiment,
 )
-from .thresholding import ForestCV, ThresholdRule, _shrink_offdiag, lambda_grid, pd_correct
-from .covariance import DynCovEstimate
+from .thresholding import ForestCV, ThresholdRule, pd_correct
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -96,6 +95,18 @@ def _forest_config(cfg: dict) -> ForestConfig:
     )
 
 
+def _resolve(forest: ForestConfig, n: int, d: int) -> ForestConfig:
+    """The forest config resolved for n training rows of dimension d.
+
+    An infeasible config (say, min_leaf above the J2 half-sample size) is a
+    usage error, found before any tree is grown.
+    """
+    try:
+        return forest.resolve(n, d)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 _FOREST_DEFAULTS = {
     "trees": 500,
     "subsample": 0,  # 0 -> ceil(n/2)
@@ -153,12 +164,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     try:
         model = ModelSpec(model=cfg["model"], p=cfg["p"], d=cfg["d"], n=cfg["n"])
         methods = tuple(MethodSpec.parse(m) for m in cfg["methods"].split(",") if m)
+        forest = _forest_config(cfg)
+        if any(m.name in ("fdcm", "mfdcm") for m in methods):
+            forest = _resolve(forest, model.n, model.d)
         exp = ExperimentConfig(
             model=model,
             methods=methods,
             reps=cfg["reps"],
             seed=cfg["seed"],
-            forest=_forest_config(cfg),
+            forest=forest,
             folds=cfg["folds"],
             grid_size=cfg["grid-size"],
             lambda_mode=cfg["lambda-mode"],
@@ -211,29 +225,26 @@ def cmd_estimate(args: argparse.Namespace) -> int:
             f"query points have {queries.shape[1]} columns, training data has d={dataset.d}"
         )
 
-    forest_cfg = _forest_config(cfg)
+    forest_cfg = _resolve(_forest_config(cfg), dataset.n, dataset.d)
     forests = train_cov_forests(dataset, forest_cfg, workers=cfg["workers"])
     cv = None
     if cfg["stage"] != "raw":
-        cv = ForestCV(dataset, forest_cfg, folds=cfg["folds"], workers=cfg["workers"])
+        cv = ForestCV(dataset, forest_cfg, folds=cfg["folds"], grid_size=cfg["grid-size"],
+                      workers=cfg["workers"])
 
     out_dir = Path(cfg["out-dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = ["point,lambda,pd_applied,file"]
     for q, u in enumerate(queries):
-        raw = raw_cov(*forests, dataset, u)
+        matrix = raw_cov(*forests, dataset, u)
         lam = 0.0
         applied = False
-        if cfg["stage"] == "raw":
-            matrix = raw.matrix
-        else:
-            grid = lambda_grid(raw.matrix, size=cfg["grid-size"])
-            lam = cv.select(u, rule, grid).lam
-            matrix = _shrink_offdiag(raw.matrix, lam, rule)
+        if cv is not None:
+            sel = cv.select(u, rule, matrix)
+            lam = sel.lam
+            matrix = sel.apply(matrix)
             if cfg["stage"] == "corrected":
-                est = DynCovEstimate(u=u, matrix=matrix, stage=Stage.THRESHOLDED)
-                corrected, info = pd_correct(est)
-                matrix = corrected.matrix
+                matrix, info = pd_correct(matrix)
                 applied = info.applied
         name = f"sigma_{q:03d}.csv"
         write_matrix_csv(out_dir / name, matrix, _config_lines(cfg) + [f"point={q}"])
@@ -274,11 +285,14 @@ def cmd_backtest(args: argparse.Namespace) -> int:
         raise UsageError(
             f"panel has {panel.n} usable rows; needs more than window={cfg['window']}"
         )
+    forest_cfg = _forest_config(cfg)
+    if spec.method == "mfdcm":
+        forest_cfg = _resolve(forest_cfg, cfg["window"], panel.d)
     result = backtest(
         panel,
         spec,
         window=cfg["window"],
-        forest_config=_forest_config(cfg),
+        forest_config=forest_cfg,
         folds=cfg["folds"],
         grid_size=cfg["grid-size"],
         stride=cfg["stride"],

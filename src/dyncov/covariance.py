@@ -3,50 +3,18 @@
 The raw estimate at a query point u is the weighted second moment minus the
 outer product of the weighted mean, each weighting coming from its own
 honest forest.  The result is symmetric but not necessarily positive
-semidefinite; see :mod:`dyncov.thresholding` for the corrected stages.
+semidefinite; see :mod:`dyncov.thresholding` for thresholding and the PD
+correction.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .data import Dataset
 from .forest import Forest, ForestConfig, ResponseKind, train_forest, weight_vector
-
-
-class Stage(enum.Enum):
-    RAW = "raw"
-    THRESHOLDED = "thresholded"
-    PD_CORRECTED = "pd_corrected"
-
-
-_SYMMETRY_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class DynCovEstimate:
-    """A symmetric p x p covariance estimate at a query point."""
-
-    u: np.ndarray
-    matrix: np.ndarray
-    stage: Stage
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("matrix must be square")
-        scale = max(1.0, float(np.abs(m).max(initial=0.0)))
-        if np.abs(m - m.T).max(initial=0.0) > _SYMMETRY_TOL * scale:
-            raise ValueError("matrix is not symmetric within tolerance")
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "u", np.asarray(self.u, dtype=float))
-
-    @property
-    def p(self) -> int:
-        return self.matrix.shape[0]
 
 
 def _check_forest(forest: Forest, dataset: Dataset, kind: ResponseKind) -> None:
@@ -77,13 +45,13 @@ def raw_cov(
     sm_forest: Forest,
     dataset: Dataset,
     u: np.ndarray,
-) -> DynCovEstimate:
+) -> np.ndarray:
     """Raw dynamic covariance estimate: second moment minus mean outer product."""
     if mean_forest.dataset_fingerprint != sm_forest.dataset_fingerprint:
         raise ValueError("forests were trained on different datasets")
     mean = cond_mean(mean_forest, dataset, u)
     second = cond_second_moment(sm_forest, dataset, u)
-    return DynCovEstimate(u=u, matrix=second - np.outer(mean, mean), stage=Stage.RAW)
+    return second - np.outer(mean, mean)
 
 
 def train_cov_forests(

@@ -1,4 +1,4 @@
-"""Paired response/covariate samples, the vectorization convention and CSV I/O.
+"""Paired response/covariate samples and CSV I/O.
 
 A :class:`Dataset` holds ``n`` paired observations ``(y_i, u_i)`` with
 ``y_i`` a length-``p`` response vector and ``u_i`` a length-``d``
@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,57 +18,6 @@ import numpy as np
 
 class CsvFormatError(ValueError):
     """An input CSV violates the declared layout."""
-
-
-@dataclass(frozen=True)
-class Sample:
-    """One paired observation (response vector y, covariate vector u)."""
-
-    y: np.ndarray
-    u: np.ndarray
-
-
-class VecIndex:
-    """Column-stacking convention for p x p matrices.
-
-    Entry (j, r) of a matrix maps to flat position k = j + (r - 1) * p, with
-    j, r and k all 1-based.  This is a bijection between [p^2] and
-    [p] x [p]; for symmetric matrices k(j, r) and k(r, j) carry equal values.
-    """
-
-    def __init__(self, p: int):
-        if p < 1:
-            raise ValueError(f"p must be >= 1, got {p}")
-        self.p = p
-
-    def to_flat(self, j: int, r: int) -> int:
-        """Flat 1-based index of 1-based entry (j, r)."""
-        p = self.p
-        if not (1 <= j <= p and 1 <= r <= p):
-            raise IndexError(f"entry ({j}, {r}) out of range for p={p}")
-        return j + (r - 1) * p
-
-    def to_pair(self, k: int) -> tuple[int, int]:
-        """1-based entry (j, r) of flat 1-based index k."""
-        p = self.p
-        if not (1 <= k <= p * p):
-            raise IndexError(f"flat index {k} out of range for p={p}")
-        r, j = divmod(k - 1, p)
-        return j + 1, r + 1
-
-    def unvec(self, v: np.ndarray) -> np.ndarray:
-        """Reshape a length-p^2 vector back into the p x p matrix."""
-        return np.asarray(v, dtype=float).reshape(self.p, self.p, order="F")
-
-
-def vec_outer(y: np.ndarray) -> np.ndarray:
-    """Stack the outer product y y^T into a length-p^2 vector (VecIndex order)."""
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1:
-        raise ValueError("vec_outer expects a 1-d vector")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("vec_outer requires finite input")
-    return np.outer(y, y).ravel(order="F")
 
 
 @dataclass(frozen=True)
@@ -112,9 +60,6 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.u.shape[1]
-
-    def sample(self, i: int) -> Sample:
-        return Sample(self.y[i], self.u[i])
 
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=int)
@@ -159,55 +104,66 @@ class CsvLayout:
             raise ValueError("lag must be >= 0")
 
 
-def _read_table(path) -> tuple[list[str], list[list[str]]]:
+def _read_numeric_csv(path, text_col: str | None = None) -> tuple[list[str], list[list]]:
+    """Header and data rows of a headered CSV, every cell checked.
+
+    Each cell is parsed as a finite float, except those of the column named
+    ``text_col``, which are kept as stripped text.  Blank lines are skipped.
+    Errors name the file line (the header is line 1) and the 1-based column.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvFormatError(f"{path}: empty file") from None
+        header = next(reader, None)
+        if header is None:
+            raise CsvFormatError(f"{path}: empty file")
         header = [h.strip() for h in header]
-        raw_rows = [row for row in reader if row]
-    return header, raw_rows
+        text_pos = _col_pos(path, header, text_col) if text_col is not None else None
+        rows = []
+        for raw in reader:
+            if not raw:
+                continue
+            line = reader.line_num
+            if len(raw) != len(header):
+                raise CsvFormatError(
+                    f"{path}: line {line} has {len(raw)} cells, header has {len(header)}"
+                )
+            row = []
+            for c, cell in enumerate(raw, start=1):
+                if c - 1 == text_pos:
+                    row.append(cell.strip())
+                    continue
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise CsvFormatError(
+                        f"{path}: non-numeric cell at line {line}, column {c} ({cell!r})"
+                    ) from None
+                if not math.isfinite(value):
+                    raise CsvFormatError(
+                        f"{path}: non-finite cell at line {line}, column {c} ({cell!r})"
+                    )
+                row.append(value)
+            rows.append(row)
+    return header, rows
+
+
+def _col_pos(path, header: list[str], name: str) -> int:
+    try:
+        return header.index(name)
+    except ValueError:
+        raise CsvFormatError(f"{path}: column {name!r} not in header") from None
 
 
 def load_returns_csv(path, layout: CsvLayout) -> Dataset:
     """Load a Dataset from a headered CSV per the layout descriptor.
 
-    Rows keep file order.  Errors name the offending (row, column) with
-    1-based data-row and file-column positions.
+    Rows keep file order.  Every cell but the date column must be a finite
+    number; errors name the file line and column.
     """
-    header, raw_rows = _read_table(path)
-    ncols = len(header)
-
-    def col_pos(name: str) -> int:
-        try:
-            return header.index(name)
-        except ValueError:
-            raise CsvFormatError(f"{path}: column {name!r} not in header") from None
-
-    y_pos = [col_pos(c) for c in layout.response_cols]
-    u_pos = [col_pos(c) for c in layout.covariate_cols]
-    d_pos = col_pos(layout.date_col) if layout.date_col is not None else None
-
-    rows = []
-    for t, raw in enumerate(raw_rows, start=1):
-        if len(raw) != ncols:
-            raise CsvFormatError(
-                f"{path}: row {t} has {len(raw)} cells, header has {ncols}"
-            )
-        parsed = []
-        for c, cell in enumerate(raw, start=1):
-            if d_pos is not None and c - 1 == d_pos:
-                parsed.append(cell.strip())
-                continue
-            try:
-                parsed.append(float(cell))
-            except ValueError:
-                raise CsvFormatError(
-                    f"{path}: non-numeric cell at row {t}, column {c} ({cell!r})"
-                ) from None
-        rows.append(parsed)
+    header, rows = _read_numeric_csv(path, layout.date_col)
+    y_pos = [_col_pos(path, header, c) for c in layout.response_cols]
+    u_pos = [_col_pos(path, header, c) for c in layout.covariate_cols]
+    d_pos = _col_pos(path, header, layout.date_col) if layout.date_col is not None else None
 
     lag = layout.lag
     if len(rows) <= lag:
@@ -228,37 +184,9 @@ def load_query_csv(path) -> np.ndarray:
     """Load query covariate vectors, one per row, from a headered CSV.
 
     Every row must have as many cells as the header and every cell must be a
-    finite number.  Errors name the file line (the header is line 1) and the
-    1-based column.
+    finite number.  Errors name the file line and column.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise CsvFormatError(f"{path}: empty file")
-        rows = []
-        for raw in reader:
-            if not raw:
-                continue
-            line = reader.line_num
-            if len(raw) != len(header):
-                raise CsvFormatError(
-                    f"{path}: line {line} has {len(raw)} cells, header has {len(header)}"
-                )
-            row = []
-            for c, cell in enumerate(raw, start=1):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise CsvFormatError(
-                        f"{path}: non-numeric cell at line {line}, column {c} ({cell!r})"
-                    ) from None
-                if not math.isfinite(value):
-                    raise CsvFormatError(
-                        f"{path}: non-finite cell at line {line}, column {c} ({cell!r})"
-                    )
-                row.append(value)
-            rows.append(row)
+    _, rows = _read_numeric_csv(path)
     if not rows:
         raise CsvFormatError(f"{path}: no query rows")
     return np.array(rows, dtype=float)
@@ -281,44 +209,3 @@ def write_returns_csv(path, dataset: Dataset, layout: CsvLayout) -> None:
             if layout.date_col is not None:
                 row = [dataset.dates[i] if dataset.dates else str(i)] + row
             writer.writerow(row)
-
-
-@dataclass(frozen=True)
-class UnitCubeMap:
-    """Per-coordinate affine map sending observed covariate ranges to [0, 1].
-
-    Constant coordinates (max == min) are collapsed to 0.5 and flagged.
-    Query points must be transformed with the same stored map.
-    """
-
-    lo: np.ndarray
-    hi: np.ndarray
-    constant: np.ndarray  # bool mask of degenerate coordinates
-
-    def transform(self, u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        single = u.ndim == 1
-        uu = np.atleast_2d(u)
-        span = self.hi - self.lo
-        safe = np.where(self.constant, 1.0, span)
-        out = (uu - self.lo) / safe
-        out[:, self.constant] = 0.5
-        return out[0] if single else out
-
-
-def map_to_unit_cube(dataset: Dataset) -> tuple[Dataset, UnitCubeMap]:
-    """Rescale each covariate coordinate into [0, 1]; responses untouched."""
-    if dataset.n < 2:
-        raise ValueError("map_to_unit_cube needs n >= 2")
-    lo = dataset.u.min(axis=0)
-    hi = dataset.u.max(axis=0)
-    constant = hi == lo
-    if constant.any():
-        warnings.warn(
-            f"constant covariate column(s) {np.flatnonzero(constant).tolist()} "
-            "mapped to 0.5",
-            stacklevel=2,
-        )
-    cmap = UnitCubeMap(lo=lo, hi=hi, constant=constant)
-    u_new = np.atleast_2d(cmap.transform(dataset.u))
-    return Dataset(dataset.y.copy(), u_new, dataset.dates), cmap

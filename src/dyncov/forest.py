@@ -23,14 +23,13 @@ B trees of a :class:`Forest` into one set of flat arrays over all its nodes:
 
 ``weight_vector`` routes a query point through all B trees together, one
 NumPy step per tree level, and adds up the leaves' weights with
-``np.bincount``.  ``Forest.trees`` rebuilds per-tree views for inspection and
-serialization; nothing on the estimation path uses them.
+``np.bincount``.  ``Forest.trees`` rebuilds per-tree views for inspection;
+nothing on the estimation path uses them.
 """
 
 from __future__ import annotations
 
 import enum
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -79,6 +78,10 @@ class ForestConfig:
             raise ValueError(f"subsample size must satisfy 2 <= s <= n, got s={s}, n={n}")
         if self.min_leaf < 1:
             raise ValueError("min_leaf must be >= 1")
+        if self.min_leaf > s // 2:
+            raise ValueError(
+                f"min_leaf={self.min_leaf} exceeds the J2 half-sample size floor(s/2)={s // 2} (s={s})"
+            )
         if not 0 < self.regularity <= 0.2:
             raise ValueError("regularity must lie in (0, 0.2]")
         if not 0 < self.random_split_prob <= 1:
@@ -452,75 +455,3 @@ def weight_vector(forest: Forest, u: np.ndarray) -> WeightVector:
     dense = np.bincount(forest.members[pos], weights=vals, minlength=forest.n)
     idx = np.flatnonzero(dense)
     return WeightVector(n=forest.n, indices=idx, values=dense[idx])
-
-
-# --- serialization ---------------------------------------------------------
-
-_FORMAT_VERSION = 1
-
-
-def forest_to_json(forest: Forest) -> str:
-    payload = {
-        "version": _FORMAT_VERSION,
-        "response_kind": forest.response_kind.value,
-        "n": forest.n,
-        "d": forest.d,
-        "dataset_fingerprint": forest.dataset_fingerprint,
-        "config": {
-            "n_trees": forest.config.n_trees,
-            "subsample_size": forest.config.subsample_size,
-            "min_leaf": forest.config.min_leaf,
-            "regularity": forest.config.regularity,
-            "random_split_prob": forest.config.random_split_prob,
-            "mtry": forest.config.mtry,
-            "seed": forest.config.seed,
-        },
-        "trees": [
-            {
-                "feature": t.feature.tolist(),
-                "threshold": [repr(float(x)) for x in t.threshold],
-                "left": t.left.tolist(),
-                "right": t.right.tolist(),
-                "leaf_members": [t.leaf_members(i).tolist() for i in range(len(t.feature))],
-                "j1": t.j1_indices.tolist(),
-                "j2": t.j2_indices.tolist(),
-                "oversized": t.oversized.astype(int).tolist(),
-            }
-            for t in forest.trees
-        ],
-    }
-    return json.dumps(payload)
-
-
-def forest_from_json(text: str) -> Forest:
-    payload = json.loads(text)
-    if payload.get("version") != _FORMAT_VERSION:
-        raise ValueError(f"unsupported forest format version {payload.get('version')}")
-    trees = [_tree_from_payload(t) for t in payload["trees"]]
-    return Forest.from_trees(
-        trees,
-        ForestConfig(**payload["config"]),
-        ResponseKind(payload["response_kind"]),
-        payload["n"],
-        payload["d"],
-        payload["dataset_fingerprint"],
-    )
-
-
-def _tree_from_payload(t: dict) -> Tree:
-    leaves = [np.asarray(m, dtype=int) for m in t["leaf_members"]]
-    count = np.asarray([len(m) for m in leaves], dtype=int)
-    tree = Tree(
-        feature=np.asarray(t["feature"], dtype=int),
-        threshold=np.asarray([float(x) for x in t["threshold"]], dtype=float),
-        left=np.asarray(t["left"], dtype=int),
-        right=np.asarray(t["right"], dtype=int),
-        start=np.cumsum(count) - count,
-        count=count,
-        members=np.concatenate(leaves),
-        j1_indices=np.asarray(t["j1"], dtype=int),
-        oversized=np.asarray(t["oversized"], dtype=bool),
-    )
-    if tree.j2_indices.tolist() != sorted(t["j2"]):
-        raise ValueError("a tree's leaf members do not partition its J2 indices")
-    return tree

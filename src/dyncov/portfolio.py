@@ -14,11 +14,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .covariance import DynCovEstimate, Stage, raw_cov, train_cov_forests
+from .covariance import raw_cov, train_cov_forests
 from .data import Dataset
 from .forest import ForestConfig
 from .simulation import kernel_dcm_baseline, static_baseline
-from .thresholding import ForestCV, ThresholdRule, _shrink_offdiag, lambda_grid, pd_correct
+from .thresholding import ForestCV, ThresholdRule, pd_correct
 
 TRADING_DAYS_PER_YEAR = 252
 
@@ -116,7 +116,6 @@ class _ForestArm:
         self.folds = folds
         self.grid_size = grid_size
         self.workers = workers
-        self._window_start = None
         self._forests = None
         self._cv = None
         self._train = None
@@ -125,12 +124,10 @@ class _ForestArm:
         if retrain or self._forests is None:
             self._train = train
             self._forests = train_cov_forests(train, self.config, workers=self.workers)
-            self._cv = ForestCV(train, self.config, folds=self.folds, workers=self.workers)
+            self._cv = ForestCV(train, self.config, folds=self.folds, grid_size=self.grid_size,
+                                workers=self.workers)
         raw = raw_cov(*self._forests, self._train, u)
-        grid = lambda_grid(raw.matrix, size=self.grid_size)
-        lam = self._cv.select(u, self.spec.rule, grid).lam
-        thr = DynCovEstimate(u=u, matrix=_shrink_offdiag(raw.matrix, lam, self.spec.rule), stage=Stage.THRESHOLDED)
-        return pd_correct(thr)[0].matrix
+        return pd_correct(self._cv.select(u, self.spec.rule, raw).apply(raw))[0]
 
 
 def backtest(
@@ -165,8 +162,10 @@ def backtest(
             stacklevel=2,
         )
 
-    cfg = replace((forest_config or ForestConfig()).resolve(window, panel.d), seed=seed)
-    arm = _ForestArm(spec, cfg, folds, grid_size, workers) if spec.method == "mfdcm" else None
+    arm = None
+    if spec.method == "mfdcm":
+        cfg = replace((forest_config or ForestConfig()).resolve(window, panel.d), seed=seed)
+        arm = _ForestArm(spec, cfg, folds, grid_size, workers)
 
     daily = np.empty(T - window)
     weights = np.empty((T - window, p))
@@ -177,14 +176,12 @@ def backtest(
             sigma = np.eye(p)
         elif spec.method == "static":
             mat = static_baseline(train, spec.rule, folds=folds, grid_size=grid_size, seed=seed)
-            est = DynCovEstimate(u=u, matrix=mat, stage=Stage.THRESHOLDED)
-            sigma = pd_correct(est)[0].matrix
+            sigma = pd_correct(mat)[0]
         elif spec.method == "mkernel":
             mat = kernel_dcm_baseline(
                 train, spec.kernel_covariate, u, spec.rule, folds=folds, grid_size=grid_size, seed=seed
             )
-            est = DynCovEstimate(u=u, matrix=mat, stage=Stage.THRESHOLDED)
-            sigma = pd_correct(est)[0].matrix
+            sigma = pd_correct(mat)[0]
         else:  # mfdcm
             sigma = arm.estimate(train, u, retrain=step % stride == 0)
         w = min_var_weights(sigma)

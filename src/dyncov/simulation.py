@@ -18,17 +18,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _streams
-from .covariance import DynCovEstimate, Stage, raw_cov, train_cov_forests
+from .covariance import raw_cov, train_cov_forests
 from .data import Dataset
 from .forest import ForestConfig
-from .thresholding import (
-    ForestCV,
-    LambdaSelection,
-    ThresholdRule,
-    _shrink_offdiag,
-    lambda_grid,
-    pd_correct,
-)
+from .thresholding import ForestCV, ThresholdRule, cv_threshold, pd_correct
 
 N_TEST_POINTS = 30
 
@@ -161,63 +154,12 @@ def sparsity_rates(est: np.ndarray, truth: np.ndarray) -> tuple[float, float]:
     return tpr, fpr
 
 
-def median_over_test_points(values) -> float:
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        raise ValueError("median of empty input")
-    return float(np.median(values))
-
-
 # --- baselines -------------------------------------------------------------
 
 
 def _sample_cov(y: np.ndarray) -> np.ndarray:
     centered = y - y.mean(axis=0)
     return centered.T @ centered / y.shape[0]
-
-
-def _cv_threshold(
-    raw_full: np.ndarray,
-    fit_fn,
-    hold_fn,
-    n: int,
-    rule: ThresholdRule,
-    folds: int,
-    grid_size: int,
-    seed: int,
-    canonical_order: np.ndarray | None = None,
-) -> tuple[np.ndarray, LambdaSelection]:
-    """Generic V-fold penalty selection for weight-based estimators.
-
-    ``fit_fn``/``hold_fn`` map an index subset to a raw matrix estimate.
-    ``canonical_order`` makes the fold partition a function of row content
-    rather than row position, so the selection is invariant to permuting the
-    sample order.
-    """
-    grid = lambda_grid(raw_full, size=grid_size)
-    if len(grid) == 1:  # no off-diagonal mass; nothing to tune
-        sel = LambdaSelection(lam=0.0, grid=grid, cv_scores=np.zeros(1))
-        return raw_full.copy(), sel
-    folds = min(folds, n // 2)
-    if folds < 2:
-        raise ValueError(f"n={n} too small for cross-validation")
-    rng = _streams.substream(seed, _streams.FOLD)
-    if canonical_order is not None:
-        perm = np.asarray(canonical_order)[rng.permutation(n)]
-    else:
-        perm = rng.permutation(n)
-    scores = np.zeros(len(grid))
-    for part in np.array_split(perm, folds):
-        hold_idx = np.sort(part)
-        fit_idx = np.sort(np.setdiff1d(perm, part))
-        fit = fit_fn(fit_idx)
-        held = hold_fn(hold_idx)
-        for g, lam in enumerate(grid):
-            diff = _shrink_offdiag(fit, lam, rule) - held
-            scores[g] += float(np.sum(diff * diff))
-    scores /= folds
-    sel = LambdaSelection(lam=float(grid[int(np.argmin(scores))]), grid=grid, cv_scores=scores)
-    return _shrink_offdiag(raw_full, sel.lam, rule), sel
 
 
 def static_baseline(
@@ -230,19 +172,15 @@ def static_baseline(
     """Sample covariance (denominator n) with cross-validated thresholding."""
     if dataset.n < 2:
         raise ValueError("static baseline needs n >= 2")
-    raw_full = _sample_cov(dataset.y)
-    out, _ = _cv_threshold(
-        raw_full,
+    return cv_threshold(
+        _sample_cov(dataset.y),
         lambda idx: _sample_cov(dataset.y[idx]),
-        lambda idx: _sample_cov(dataset.y[idx]),
-        dataset.n,
+        _canonical_row_order(dataset),
         rule,
         folds,
         grid_size,
         seed,
-        canonical_order=_canonical_row_order(dataset),
     )
-    return out
 
 
 def _canonical_row_order(dataset: Dataset) -> np.ndarray:
@@ -293,19 +231,15 @@ def kernel_dcm_baseline(
     uj = dataset.u[:, j]
     target = float(np.asarray(u, dtype=float)[j])
     h = bandwidth if bandwidth is not None else rule_of_thumb_bandwidth(uj)
-    raw_full = _kernel_raw(dataset.y, uj, target, h)
-    out, _ = _cv_threshold(
-        raw_full,
+    return cv_threshold(
+        _kernel_raw(dataset.y, uj, target, h),
         lambda idx: _kernel_raw(dataset.y[idx], uj[idx], target, h),
-        lambda idx: _kernel_raw(dataset.y[idx], uj[idx], target, h),
-        dataset.n,
+        _canonical_row_order(dataset),
         rule,
         folds,
         grid_size,
         seed,
-        canonical_order=_canonical_row_order(dataset),
     )
-    return out
 
 
 # --- experiment runner -----------------------------------------------------
@@ -420,27 +354,19 @@ def _forest_estimates(
     config: ExperimentConfig,
     points: np.ndarray,
     rules: list[ThresholdRule],
-) -> dict[ThresholdRule, list[DynCovEstimate]]:
+) -> dict[ThresholdRule, list[np.ndarray]]:
     """Thresholded forest estimates at every query point, one list per rule."""
     forests = train_cov_forests(dataset, config.forest, workers=config.workers)
-    cv = ForestCV(dataset, config.forest, folds=config.folds, workers=config.workers)
+    cv = ForestCV(dataset, config.forest, folds=config.folds, grid_size=config.grid_size, workers=config.workers)
     raws = [raw_cov(*forests, dataset, u) for u in points]
-    out: dict[ThresholdRule, list[DynCovEstimate]] = {}
+    out: dict[ThresholdRule, list[np.ndarray]] = {}
     for rule in rules:
         if config.lambda_mode == "shared":
             centroid = dataset.u.mean(axis=0)
-            grid = lambda_grid(raw_cov(*forests, dataset, centroid).matrix, size=config.grid_size)
-            lam = cv.select(centroid, rule, grid).lam
-            lams = [lam] * len(points)
+            sel = cv.select(centroid, rule, raw_cov(*forests, dataset, centroid))
+            out[rule] = [sel.apply(raw) for raw in raws]
         else:
-            lams = [
-                cv.select(u, rule, lambda_grid(raw.matrix, size=config.grid_size)).lam
-                for u, raw in zip(points, raws)
-            ]
-        out[rule] = [
-            DynCovEstimate(u=raw.u, matrix=_shrink_offdiag(raw.matrix, lam, rule), stage=Stage.THRESHOLDED)
-            for raw, lam in zip(raws, lams)
-        ]
+            out[rule] = [cv.select(u, rule, raw).apply(raw) for u, raw in zip(points, raws)]
     return out
 
 
@@ -460,9 +386,9 @@ def _run_rep(config: ExperimentConfig, points: np.ndarray, rep: int):
     per_method = []
     for method in config.methods:
         if method.name in ("fdcm", "mfdcm"):
-            mats = [e.matrix for e in forest_ests[method.rule]]
+            mats = forest_ests[method.rule]
             if method.name == "mfdcm":
-                mats = [pd_correct(e)[0].matrix for e in forest_ests[method.rule]]
+                mats = [pd_correct(m)[0] for m in mats]
         elif method.name == "static":
             mat = static_baseline(
                 dataset, method.rule, folds=config.folds, grid_size=config.grid_size, seed=config.seed
@@ -482,10 +408,7 @@ def _run_rep(config: ExperimentConfig, points: np.ndarray, rep: int):
                 for u in points
             ]
             if method.name == "mkernel":
-                mats = [
-                    pd_correct(DynCovEstimate(u=u, matrix=m, stage=Stage.THRESHOLDED))[0].matrix
-                    for u, m in zip(points, mats)
-                ]
+                mats = [pd_correct(m)[0] for m in mats]
         fro_sp = np.array([losses(m, t) for m, t in zip(mats, truths)])
         tpr_fpr = np.array([sparsity_rates(m, t) for m, t in zip(mats, truths)])
         per_method.append((fro_sp, tpr_fpr))

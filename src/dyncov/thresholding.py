@@ -7,15 +7,14 @@ Every shrinkage rule s_lambda satisfies |s(z)| <= |z|, s(z) = 0 for
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _streams
-from .covariance import DynCovEstimate, Stage, raw_cov, train_cov_forests
+from .covariance import raw_cov, train_cov_forests
 from .data import Dataset
-from .forest import Forest, ForestConfig
+from .forest import ForestConfig
 
 
 @dataclass(frozen=True)
@@ -82,13 +81,6 @@ def shrink(z, lam: float, rule: ThresholdRule):
     return out if out.ndim else float(out)
 
 
-def apply_threshold(est: DynCovEstimate, lam: float, rule: ThresholdRule) -> DynCovEstimate:
-    """Shrink off-diagonal entries; the diagonal is copied verbatim."""
-    if est.stage is not Stage.RAW:
-        raise ValueError(f"apply_threshold expects a Raw estimate, got {est.stage}")
-    return DynCovEstimate(u=est.u, matrix=_shrink_offdiag(est.matrix, lam, rule), stage=Stage.THRESHOLDED)
-
-
 def _shrink_offdiag(matrix: np.ndarray, lam: float, rule: ThresholdRule) -> np.ndarray:
     out = shrink(matrix, lam, rule)
     np.fill_diagonal(out, np.diagonal(matrix))
@@ -97,11 +89,12 @@ def _shrink_offdiag(matrix: np.ndarray, lam: float, rule: ThresholdRule) -> np.n
 
 @dataclass(frozen=True)
 class LambdaSelection:
-    """A selected penalty with the evaluated grid and CV scores."""
+    """A selected penalty with its rule, the evaluated grid and CV scores."""
 
     lam: float
     grid: np.ndarray
     cv_scores: np.ndarray
+    rule: ThresholdRule
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
@@ -112,6 +105,10 @@ class LambdaSelection:
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "cv_scores", np.asarray(self.cv_scores, dtype=float))
 
+    def apply(self, matrix: np.ndarray) -> np.ndarray:
+        """Shrink the off-diagonal entries at the selected lambda; the diagonal is kept."""
+        return _shrink_offdiag(matrix, self.lam, self.rule)
+
 
 def lambda_grid(raw_matrix: np.ndarray, size: int = 20) -> np.ndarray:
     """0 plus `size` log-spaced values up to the max off-diagonal magnitude."""
@@ -119,6 +116,53 @@ def lambda_grid(raw_matrix: np.ndarray, size: int = 20) -> np.ndarray:
     if off <= 0:
         return np.array([0.0])
     return np.concatenate([[0.0], np.geomspace(off * 1e-3, off, size)])
+
+
+def _cv_select(pairs, grid: np.ndarray, rule: ThresholdRule) -> LambdaSelection:
+    """Pick the grid lambda minimizing the mean held-out Frobenius score.
+
+    ``pairs`` yields one (fit, held) pair of raw matrices per fold: the
+    estimate from the fold's training part and the one from its held-out part.
+    """
+    scores = np.zeros(len(grid))
+    n_pairs = 0
+    for fit, held in pairs:
+        for g, lam in enumerate(grid):
+            diff = _shrink_offdiag(fit, lam, rule) - held
+            scores[g] += float(np.sum(diff * diff))
+        n_pairs += 1
+    scores /= n_pairs
+    return LambdaSelection(lam=float(grid[int(np.argmin(scores))]), grid=grid, cv_scores=scores, rule=rule)
+
+
+def _fold_splits(order: np.ndarray, folds: int, seed: int):
+    """Yield the sorted (train, held) row indices of each fold of a seeded V-fold split.
+
+    The folds partition ``order``, a permutation of the rows, after one
+    shuffle drawn from the seed's fold stream.
+    """
+    perm = np.asarray(order)[_streams.substream(seed, _streams.FOLD).permutation(len(order))]
+    for part in np.array_split(perm, folds):
+        yield np.setdiff1d(perm, part), np.sort(part)
+
+
+def cv_threshold(raw_full: np.ndarray, raw_fn, order: np.ndarray, rule: ThresholdRule,
+                 folds: int, grid_size: int, seed: int) -> np.ndarray:
+    """Threshold a weight-based estimate at a V-fold cross-validated lambda.
+
+    ``raw_fn`` maps sorted row indices to the raw estimate on those rows and
+    ``raw_full`` is its value on all rows.  A content-based ``order`` makes
+    the selection invariant to permuting the sample rows.
+    """
+    grid = lambda_grid(raw_full, size=grid_size)
+    if len(grid) == 1:  # no off-diagonal mass; nothing to tune
+        return raw_full.copy()
+    n = len(order)
+    folds = min(folds, n // 2)
+    if folds < 2:
+        raise ValueError(f"n={n} too small for cross-validation")
+    pairs = ((raw_fn(fit), raw_fn(held)) for fit, held in _fold_splits(order, folds, seed))
+    return _cv_select(pairs, grid, rule).apply(raw_full)
 
 
 def _subset_config(config: ForestConfig, m: int, n_full: int, n_trees: int) -> ForestConfig:
@@ -136,6 +180,11 @@ def _subset_config(config: ForestConfig, m: int, n_full: int, n_trees: int) -> F
     )
 
 
+# Fold forests get 1/CV_TREE_DIVISOR of the main forests' trees, at least CV_MIN_TREES.
+CV_TREE_DIVISOR = 5
+CV_MIN_TREES = 50
+
+
 class ForestCV:
     """V-fold machinery for selecting the thresholding penalty.
 
@@ -150,9 +199,7 @@ class ForestCV:
         dataset: Dataset,
         config: ForestConfig,
         folds: int = 5,
-        shared_forests: bool = False,
-        tree_divisor: int = 5,
-        min_trees: int = 50,
+        grid_size: int = 20,
         workers: int = 1,
     ):
         if folds < 2:
@@ -160,57 +207,27 @@ class ForestCV:
         if dataset.n < 2 * folds:
             raise ValueError(f"n={dataset.n} too small for {folds}-fold CV")
         cfg = config.resolve(dataset.n, dataset.d)
-        n_cv_trees = max(min_trees, cfg.n_trees // tree_divisor)
-        rng = _streams.substream(cfg.seed, _streams.FOLD)
-        perm = rng.permutation(dataset.n)
-        self.folds = [np.sort(part) for part in np.array_split(perm, folds)]
+        n_cv_trees = max(CV_MIN_TREES, cfg.n_trees // CV_TREE_DIVISOR)
+        self.grid_size = grid_size
         self._pairs = []
-        for v, fold in enumerate(self.folds):
-            train_idx = np.sort(np.setdiff1d(perm, fold))
+        for v, (train_idx, fold) in enumerate(_fold_splits(np.arange(dataset.n), folds, cfg.seed)):
             if len(train_idx) < 4:
                 raise ValueError(f"fold {v}: complement too small to train a forest")
             train_ds = dataset.subset(train_idx)
             hold_ds = dataset.subset(fold)
             train_cfg = _subset_config(cfg, len(train_idx), dataset.n, n_cv_trees)
             hold_cfg = _subset_config(cfg, len(fold), dataset.n, n_cv_trees)
-            train_forests = train_cov_forests(train_ds, train_cfg, shared=shared_forests, workers=workers)
-            hold_forests = train_cov_forests(hold_ds, hold_cfg, shared=shared_forests, workers=workers)
+            train_forests = train_cov_forests(train_ds, train_cfg, workers=workers)
+            hold_forests = train_cov_forests(hold_ds, hold_cfg, workers=workers)
             self._pairs.append(((train_forests, train_ds), (hold_forests, hold_ds)))
 
-    def select(self, u: np.ndarray, rule: ThresholdRule, grid: np.ndarray) -> LambdaSelection:
-        """Pick the grid lambda minimizing the mean held-out Frobenius score at u."""
-        grid = np.asarray(grid, dtype=float)
-        scores = np.zeros(len(grid))
-        for (train_forests, train_ds), (hold_forests, hold_ds) in self._pairs:
-            fit = raw_cov(*train_forests, train_ds, u).matrix
-            held = raw_cov(*hold_forests, hold_ds, u).matrix
-            for g, lam in enumerate(grid):
-                diff = _shrink_offdiag(fit, lam, rule) - held
-                scores[g] += float(np.sum(diff * diff))
-        scores /= len(self._pairs)
-        return LambdaSelection(lam=float(grid[int(np.argmin(scores))]), grid=grid, cv_scores=scores)
-
-
-def select_lambda(
-    dataset: Dataset,
-    forests: tuple[Forest, Forest],
-    u: np.ndarray,
-    rule: ThresholdRule,
-    folds: int = 5,
-    grid_size: int = 20,
-    cv: ForestCV | None = None,
-) -> LambdaSelection:
-    """Cross-validated penalty for the query point u.
-
-    ``forests`` are the full-data mean/second-moment forests; their raw
-    estimate at u fixes the grid's upper bound.  Pass a prebuilt ``cv`` to
-    amortize fold-forest training across many query points.
-    """
-    mean_forest, sm_forest = forests
-    if cv is None:
-        cv = ForestCV(dataset, mean_forest.config, folds=folds)
-    grid = lambda_grid(raw_cov(mean_forest, sm_forest, dataset, u).matrix, size=grid_size)
-    return cv.select(u, rule, grid)
+    def select(self, u: np.ndarray, rule: ThresholdRule, raw: np.ndarray) -> LambdaSelection:
+        """Cross-validated penalty at u; the raw estimate at u fixes the grid's upper end."""
+        pairs = (
+            (raw_cov(*train_forests, train_ds, u), raw_cov(*hold_forests, hold_ds, u))
+            for (train_forests, train_ds), (hold_forests, hold_ds) in self._pairs
+        )
+        return _cv_select(pairs, lambda_grid(raw, size=self.grid_size), rule)
 
 
 @dataclass(frozen=True)
@@ -228,32 +245,32 @@ def default_cn(matrix: np.ndarray) -> float:
     return 1e-4 * top if top > 0 else 1e-8
 
 
-def pd_correct(est: DynCovEstimate, c_n: float | None = None) -> tuple[DynCovEstimate, PDCorrection]:
-    """Shift by (delta_hat + c_n) I when the smallest eigenvalue is <= 0."""
-    if est.stage is not Stage.THRESHOLDED:
-        raise ValueError(f"pd_correct expects a Thresholded estimate, got {est.stage}")
+def pd_correct(matrix: np.ndarray, c_n: float | None = None) -> tuple[np.ndarray, PDCorrection]:
+    """Shift a symmetric matrix by (delta_hat + c_n) I when its smallest eigenvalue is <= 0."""
+    matrix = np.asarray(matrix, dtype=float)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise ValueError("matrix must be square")
+    scale = max(1.0, float(np.abs(matrix).max(initial=0.0)))
+    if np.abs(matrix - matrix.T).max(initial=0.0) > 1e-12 * scale:
+        raise ValueError("matrix is not symmetric within tolerance")
     if c_n is None:
-        c_n = default_cn(est.matrix)
+        c_n = default_cn(matrix)
     if c_n <= 0:
         raise ValueError("c_n must be > 0")
-    mu_min = float(np.linalg.eigvalsh(est.matrix)[0])
+    mu_min = float(np.linalg.eigvalsh(matrix)[0])
     if mu_min > 0:
-        out = DynCovEstimate(u=est.u, matrix=est.matrix, stage=Stage.PD_CORRECTED)
-        return out, PDCorrection(delta_hat=0.0, c_n=c_n, applied=False)
+        return matrix, PDCorrection(delta_hat=0.0, c_n=c_n, applied=False)
     delta_hat = -mu_min
-    shifted = est.matrix + (delta_hat + c_n) * np.eye(est.p)
-    out = DynCovEstimate(u=est.u, matrix=shifted, stage=Stage.PD_CORRECTED)
-    return out, PDCorrection(delta_hat=delta_hat, c_n=c_n, applied=True)
+    shifted = matrix + (delta_hat + c_n) * np.eye(matrix.shape[0])
+    return shifted, PDCorrection(delta_hat=delta_hat, c_n=c_n, applied=True)
 
 
-def precision(est: DynCovEstimate) -> np.ndarray:
-    """Inverse of a PD-corrected estimate via its Cholesky factor."""
-    if est.stage is not Stage.PD_CORRECTED:
-        raise ValueError(f"precision expects a PDCorrected estimate, got {est.stage}")
+def precision(matrix: np.ndarray) -> np.ndarray:
+    """Inverse of a positive definite matrix via its Cholesky factor."""
     try:
-        chol = np.linalg.cholesky(est.matrix)
+        chol = np.linalg.cholesky(matrix)
     except np.linalg.LinAlgError as exc:
-        raise ValueError("PD invariant broken upstream: Cholesky failed") from exc
-    linv = np.linalg.solve(chol, np.eye(est.p))
+        raise ValueError("matrix is not positive definite: Cholesky failed") from exc
+    linv = np.linalg.solve(chol, np.eye(chol.shape[0]))
     inv = linv.T @ linv
     return (inv + inv.T) / 2.0

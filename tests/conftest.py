@@ -1,9 +1,12 @@
 """Shared helpers for the test suite."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from dyncov.data import Dataset
+from dyncov.forest import Forest
 
 
 @pytest.fixture
@@ -14,6 +17,28 @@ def rng():
 def make_dataset(n=20, p=3, d=2, seed=0):
     gen = np.random.default_rng(seed)
     return Dataset(gen.standard_normal((n, p)), gen.uniform(-1, 1, (n, d)))
+
+
+def vec_outer(y):
+    """Column-stacked outer product: entry (j, r) of y y^T at flat position j + r * p."""
+    y = np.asarray(y, dtype=float)
+    if y.ndim != 1:
+        raise ValueError("vec_outer expects a 1-d vector")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("vec_outer requires finite input")
+    return np.outer(y, y).ravel(order="F")
+
+
+def same_forest(a, b):
+    """True when two forests agree bit for bit: every flat array and all metadata."""
+    for f in dataclasses.fields(Forest):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            if x.dtype != y.dtype or x.shape != y.shape or x.tobytes() != y.tobytes():
+                return False
+        elif x != y:
+            return False
+    return True
 
 
 def route_independent(tree, u):

@@ -15,7 +15,6 @@ import pytest
 
 from dyncov import _streams
 from dyncov.cli import EXIT_OK, main
-from dyncov.covariance import DynCovEstimate, Stage
 from dyncov.data import CsvLayout, write_returns_csv
 from dyncov.forest import (
     ForestConfig,
@@ -242,12 +241,11 @@ def test_criterion_04_pd_contract():
             mu_min = float(np.linalg.eigvalsh(mat)[0])
             scale = max(1.0, float(np.abs(mat).max()))
             mat = mat - (max(mu_min, 0.0) + 1e-12 * scale) * np.eye(p)
-            est = DynCovEstimate(u=np.zeros(1), matrix=mat, stage=Stage.THRESHOLDED)
-            corrected, info = pd_correct(est)
+            corrected, info = pd_correct(mat)
             assert info.applied
-            out_min = float(np.linalg.eigvalsh(corrected.matrix)[0])
+            out_min = float(np.linalg.eigvalsh(corrected)[0])
             assert out_min >= info.c_n - 1e-10
-            residual = np.abs(corrected.matrix @ precision(corrected) - np.eye(p)).max()
+            residual = np.abs(corrected @ precision(corrected) - np.eye(p)).max()
             assert residual < 1e-8
         elapsed = time.perf_counter() - start
         assert elapsed < 120.0, f"PD contract took {elapsed:.2f}s"

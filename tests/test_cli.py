@@ -22,6 +22,15 @@ def _write_panel(path, T=30, p=2, d=2, seed=0):
     return layout
 
 
+def _replace_cell(path, line, column, cell):
+    """Overwrite the cell at a 1-based file line and column of a CSV."""
+    lines = path.read_text().splitlines()
+    row = lines[line - 1].split(",")
+    row[column - 1] = cell
+    lines[line - 1] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+
+
 SIM_FLAGS = [
     "simulate", "--model", "1", "--p", "4", "--d", "2", "--n", "30",
     "--reps", "1", "--methods", "static:soft", "--trees", "10",
@@ -56,6 +65,14 @@ class TestSimulate:
         assert a.with_suffix(".csv").read_bytes().replace(b"out=" + bytes(str(a), "utf8"),
                                                           b"out=" + bytes(str(b), "utf8")) \
             == b.with_suffix(".csv").read_bytes()
+
+    def test_infeasible_min_leaf_is_usage_error(self, tmp_path, capsys):
+        # n=30 gives s=15 and |J2|=7: no tree can hold leaves of 9.
+        out = tmp_path / "x"
+        code = main(SIM_FLAGS + ["--methods", "fdcm:soft", "--min-leaf", "9", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "min_leaf=9 exceeds the J2 half-sample size floor(s/2)=7" in capsys.readouterr().err
+        assert not out.with_suffix(".csv").exists()
 
     def test_config_file_and_cli_precedence(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -148,6 +165,33 @@ class TestEstimate:
         assert not out_dir.exists()
 
 
+    def test_infeasible_min_leaf_is_usage_error(self, tmp_path, capsys):
+        train, query, _ = self._common(tmp_path)
+        out_dir = tmp_path / "est"
+        code = main([
+            "estimate", "--train", str(train), "--query", str(query),
+            "--response-cols", "y1,y2,y3", "--covariate-cols", "u1,u2",
+            "--trees", "4", "--min-leaf", "11", "--out-dir", str(out_dir),
+        ])
+        assert code == EXIT_USAGE
+        assert "min_leaf=11 exceeds the J2 half-sample size floor(s/2)=10" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("cell, what", [
+        ("nan", "non-finite"), ("-inf", "non-finite"), ("x", "non-numeric"),
+    ])
+    def test_bad_train_cell_is_usage_error(self, tmp_path, capsys, cell, what):
+        train, query, _ = self._common(tmp_path)
+        _replace_cell(train, 4, 2, cell)
+        code = main([
+            "estimate", "--train", str(train), "--query", str(query),
+            "--response-cols", "y1,y2,y3", "--covariate-cols", "u1,u2",
+            "--trees", "4", "--stage", "raw", "--out-dir", str(tmp_path / "est"),
+        ])
+        assert code == EXIT_USAGE
+        assert f"{what} cell at line 4, column 2" in capsys.readouterr().err
+
+
 class TestBacktest:
     def _run(self, tmp_path, extra=(), T=30, out="bt"):
         panel = tmp_path / "panel.csv"
@@ -176,6 +220,27 @@ class TestBacktest:
     def test_window_too_large(self, tmp_path):
         code, _ = self._run(tmp_path, extra=["--window", "50"][0:0], T=9)
         assert code == EXIT_USAGE
+
+    def test_infeasible_min_leaf_refuses_only_the_forest_arm(self, tmp_path, capsys):
+        # window 10 gives s=5 and |J2|=2, below the default min_leaf of 5.
+        code, out = self._run(tmp_path, extra=["--method", "mfdcm:soft"])
+        assert code == EXIT_USAGE
+        assert "min_leaf=5 exceeds the J2 half-sample size floor(s/2)=2" in capsys.readouterr().err
+        assert not out.with_suffix(".summary.txt").exists()
+        code, _ = self._run(tmp_path, extra=["--method", "static:soft"], out="static")
+        assert code == EXIT_OK
+
+    def test_bad_panel_cell_is_usage_error(self, tmp_path, capsys):
+        panel = tmp_path / "panel.csv"
+        _write_panel(panel, T=30, p=2, d=2, seed=5)
+        _replace_cell(panel, 4, 2, "inf")
+        code = main([
+            "backtest", "--panel", str(panel), "--response-cols", "y1,y2",
+            "--covariate-cols", "u1,u2", "--method", "identity", "--window", "10",
+            "--out", str(tmp_path / "bt"),
+        ])
+        assert code == EXIT_USAGE
+        assert "non-finite cell at line 4, column 2" in capsys.readouterr().err
 
     def test_rerun_byte_identical(self, tmp_path):
         code_a, out_a = self._run(tmp_path, out="a")
@@ -228,3 +293,4 @@ class TestWorkerDeterminism:
         strip = lambda p: [l for l in p.with_suffix(".csv").read_text().splitlines()
                            if not (l.startswith("# out=") or l.startswith("# workers="))]
         assert strip(a) == strip(b)
+

@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 
 from dyncov.covariance import (
-    DynCovEstimate,
-    Stage,
     cond_mean,
     cond_second_moment,
     raw_cov,
@@ -23,21 +21,6 @@ def _uniform_leaf_setup():
     y = np.array([[1.0, 0.0], [3.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
     u = np.full((4, 1), 0.5)  # identical covariates: unsplittable
     return Dataset(y, u)
-
-
-class TestDynCovEstimate:
-    def test_requires_square(self):
-        with pytest.raises(ValueError):
-            DynCovEstimate(u=np.zeros(1), matrix=np.zeros((2, 3)), stage=Stage.RAW)
-
-    def test_requires_symmetry(self):
-        m = np.array([[1.0, 0.5], [0.0, 1.0]])
-        with pytest.raises(ValueError):
-            DynCovEstimate(u=np.zeros(1), matrix=m, stage=Stage.RAW)
-
-    def test_p_property(self):
-        est = DynCovEstimate(u=np.zeros(1), matrix=np.eye(3), stage=Stage.RAW)
-        assert est.p == 3
 
 
 class TestCondMean:
@@ -110,15 +93,14 @@ class TestRawCov:
         a = weight_vector(mean_f, np.array([0.5])).to_dense()
         b = weight_vector(sm_f, np.array([0.5])).to_dense()
         expected = (b * ds.y[:, 0] ** 2).sum() - (a * ds.y[:, 0]).sum() ** 2
-        np.testing.assert_allclose(est.matrix, [[expected]])
-        assert est.stage is Stage.RAW
+        np.testing.assert_allclose(est, [[expected]])
 
     def test_constant_responses_zero_matrix(self):
         c = np.array([3.0, 1.0, -2.0])
         ds = Dataset(np.tile(c, (20, 1)), np.random.default_rng(3).uniform(-1, 1, (20, 1)))
         forests = train_cov_forests(ds, ForestConfig(n_trees=5, min_leaf=2, seed=0))
         est = raw_cov(*forests, ds, np.array([0.0]))
-        np.testing.assert_allclose(est.matrix, np.zeros((3, 3)), atol=1e-12)
+        np.testing.assert_allclose(est, np.zeros((3, 3)), atol=1e-12)
 
     def test_materialized_weights_oracle(self):
         # Literal evaluation with explicit dense weight vectors from the
@@ -133,7 +115,7 @@ class TestRawCov:
             second = sum(b * np.outer(y, y) for b, y in zip(beta, ds.y))
             mean = (alpha[:, None] * ds.y).sum(axis=0)
             expected = second - np.outer(mean, mean)
-            got = raw_cov(*forests, ds, u).matrix
+            got = raw_cov(*forests, ds, u)
             np.testing.assert_allclose(got, expected, atol=1e-10)
 
     def test_symmetric_over_query_grid(self):
@@ -141,7 +123,7 @@ class TestRawCov:
         forests = train_cov_forests(ds, ForestConfig(n_trees=8, min_leaf=3, seed=1))
         rng = np.random.default_rng(4)
         for _ in range(10):
-            m = raw_cov(*forests, ds, rng.uniform(-1, 1, 2)).matrix
+            m = raw_cov(*forests, ds, rng.uniform(-1, 1, 2))
             np.testing.assert_array_equal(m, m.T)
 
     def test_fingerprint_guard(self):
@@ -158,7 +140,7 @@ class TestRawCov:
         forests = train_cov_forests(ds, ForestConfig(n_trees=10, min_leaf=3, seed=2), shared=True)
         rng = np.random.default_rng(5)
         for _ in range(10):
-            m = raw_cov(*forests, ds, rng.uniform(-1, 1, 2)).matrix
+            m = raw_cov(*forests, ds, rng.uniform(-1, 1, 2))
             assert np.linalg.eigvalsh(m)[0] >= -1e-10
 
     def test_monotone_covariate_transform_at_training_points(self):
@@ -172,8 +154,8 @@ class TestRawCov:
         ds2 = Dataset(ds.y.copy(), u2)
         forests2 = train_cov_forests(ds2, cfg)
         for i in (0, 7, 23):
-            a = raw_cov(*forests, ds, ds.u[i]).matrix
-            b = raw_cov(*forests2, ds2, ds2.u[i]).matrix
+            a = raw_cov(*forests, ds, ds.u[i])
+            b = raw_cov(*forests2, ds2, ds2.u[i])
             np.testing.assert_array_equal(a, b)
 
 

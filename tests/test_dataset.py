@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,12 +7,10 @@ from dyncov.data import (
     CsvFormatError,
     CsvLayout,
     Dataset,
-    VecIndex,
     load_returns_csv,
-    map_to_unit_cube,
-    vec_outer,
     write_returns_csv,
 )
+from tests.conftest import vec_outer
 
 
 class TestVecOuter:
@@ -35,41 +31,7 @@ class TestVecOuter:
     def test_unvec_recovers_outer_product(self, values):
         y = np.asarray(values)
         p = len(y)
-        np.testing.assert_array_equal(VecIndex(p).unvec(vec_outer(y)), np.outer(y, y))
-
-
-class TestVecIndex:
-    def test_flat_rule(self):
-        idx = VecIndex(3)
-        assert idx.to_flat(2, 1) == 2
-        assert idx.to_flat(1, 2) == 4
-        assert idx.to_flat(3, 3) == 9
-
-    def test_bijection(self):
-        idx = VecIndex(4)
-        seen = set()
-        for j in range(1, 5):
-            for r in range(1, 5):
-                k = idx.to_flat(j, r)
-                assert idx.to_pair(k) == (j, r)
-                seen.add(k)
-        assert seen == set(range(1, 17))
-
-    def test_symmetric_pairing(self):
-        # Flat positions k(j,r) and k(r,j) carry equal values for symmetric input.
-        y = np.array([1.5, -2.0, 0.25])
-        v = vec_outer(y)
-        idx = VecIndex(3)
-        for j in range(1, 4):
-            for r in range(1, 4):
-                assert v[idx.to_flat(j, r) - 1] == v[idx.to_flat(r, j) - 1]
-
-    def test_out_of_range(self):
-        idx = VecIndex(2)
-        with pytest.raises(IndexError):
-            idx.to_flat(0, 1)
-        with pytest.raises(IndexError):
-            idx.to_pair(5)
+        np.testing.assert_array_equal(vec_outer(y).reshape(p, p, order="F"), np.outer(y, y))
 
 
 class TestDataset:
@@ -135,7 +97,15 @@ class TestCsvLoading:
         path = tmp_path / "t.csv"
         path.write_text("y1,y2,u1\n1,2,3\n4,5,oops\n")
         layout = CsvLayout(response_cols=("y1", "y2"), covariate_cols=("u1",))
-        with pytest.raises(CsvFormatError, match=r"row 2, column 3"):
+        with pytest.raises(CsvFormatError, match=r"line 3, column 3"):
+            load_returns_csv(path, layout)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_names_location(self, tmp_path, cell):
+        path = tmp_path / "t.csv"
+        path.write_text(f"y1,y2,u1\n1,2,3\n\n4,{cell},6\n")
+        layout = CsvLayout(response_cols=("y1", "y2"), covariate_cols=("u1",))
+        with pytest.raises(CsvFormatError, match=r"non-finite cell at line 4, column 2"):
             load_returns_csv(path, layout)
 
     def test_missing_column(self, tmp_path):
@@ -149,7 +119,7 @@ class TestCsvLoading:
         path = tmp_path / "t.csv"
         path.write_text("y1,u1\n1,2\n3\n")
         layout = CsvLayout(response_cols=("y1",), covariate_cols=("u1",))
-        with pytest.raises(CsvFormatError, match="row 2"):
+        with pytest.raises(CsvFormatError, match="line 3 has 1 cells"):
             load_returns_csv(path, layout)
 
     def test_empty_layout_rejected(self):
@@ -170,45 +140,3 @@ class TestCsvLoading:
         np.testing.assert_array_equal(back.y, ds.y)
         np.testing.assert_array_equal(back.u, ds.u)
         assert back.dates == ds.dates
-
-
-class TestUnitCubeMap:
-    def test_affine_rescale(self):
-        ds = Dataset(np.zeros((3, 1)), np.array([[-1.0], [0.0], [1.0]]))
-        mapped, _ = map_to_unit_cube(ds)
-        np.testing.assert_allclose(mapped.u[:, 0], [0.0, 0.5, 1.0])
-
-    def test_already_unit_interval(self):
-        ds = Dataset(np.zeros((3, 1)), np.array([[0.0], [0.25], [1.0]]))
-        mapped, _ = map_to_unit_cube(ds)
-        np.testing.assert_allclose(mapped.u, ds.u)
-
-    def test_constant_column_flagged(self):
-        ds = Dataset(np.zeros((3, 1)), np.full((3, 1), 2.0))
-        with pytest.warns(UserWarning, match="constant covariate"):
-            mapped, cmap = map_to_unit_cube(ds)
-        np.testing.assert_array_equal(mapped.u[:, 0], [0.5, 0.5, 0.5])
-        assert cmap.constant.tolist() == [True]
-
-    def test_idempotent(self):
-        gen = np.random.default_rng(1)
-        ds = Dataset(np.zeros((10, 1)), gen.uniform(-3, 5, (10, 2)))
-        once, _ = map_to_unit_cube(ds)
-        twice, _ = map_to_unit_cube(once)
-        np.testing.assert_allclose(twice.u, once.u, atol=1e-15)
-
-    def test_query_uses_stored_map(self):
-        ds = Dataset(np.zeros((3, 1)), np.array([[-1.0], [0.0], [1.0]]))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            _, cmap = map_to_unit_cube(ds)
-        np.testing.assert_allclose(cmap.transform(np.array([0.5])), [0.75])
-        np.testing.assert_allclose(
-            cmap.transform(np.array([[-1.0], [1.0]])), [[0.0], [1.0]]
-        )
-
-    def test_responses_untouched(self):
-        gen = np.random.default_rng(2)
-        ds = Dataset(gen.standard_normal((5, 2)), gen.uniform(-2, 2, (5, 1)))
-        mapped, _ = map_to_unit_cube(ds)
-        np.testing.assert_array_equal(mapped.y, ds.y)

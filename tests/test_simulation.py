@@ -15,7 +15,6 @@ from dyncov.simulation import (
     _sample_cov,
     kernel_dcm_baseline,
     losses,
-    median_over_test_points,
     rule_of_thumb_bandwidth,
     run_experiment,
     sample_dataset,
@@ -182,21 +181,6 @@ class TestSparsityRates:
         dense = np.ones((2, 2))
         assert sparsity_rates(zero, zero) == (1.0, 0.0)
         assert sparsity_rates(dense, dense) == (1.0, 0.0)
-
-
-class TestMedian:
-    def test_odd(self):
-        assert median_over_test_points([1, 2, 3]) == 2.0
-
-    def test_even(self):
-        assert median_over_test_points([1, 2, 3, 4]) == 2.5
-
-    def test_constant(self):
-        assert median_over_test_points([7.0] * 5) == 7.0
-
-    def test_empty(self):
-        with pytest.raises(ValueError):
-            median_over_test_points([])
 
 
 class TestStaticBaseline:

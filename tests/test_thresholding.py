@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dyncov.covariance import DynCovEstimate, Stage
+from dyncov.covariance import raw_cov, train_cov_forests
 from dyncov.data import Dataset
 from dyncov.forest import ForestConfig
 from dyncov.simulation import ModelSpec, sample_dataset
@@ -11,15 +11,12 @@ from dyncov.thresholding import (
     ForestCV,
     LambdaSelection,
     ThresholdRule,
-    apply_threshold,
     default_cn,
     lambda_grid,
     pd_correct,
     precision,
-    select_lambda,
     shrink,
 )
-from dyncov.covariance import train_cov_forests
 
 RULES = [
     ThresholdRule("hard"),
@@ -131,41 +128,37 @@ class TestShrinkLaws:
         assert shrink(-z, lam, rule) == -shrink(z, lam, rule)
 
 
-class TestApplyThreshold:
-    def _raw(self, matrix):
-        return DynCovEstimate(u=np.zeros(1), matrix=matrix, stage=Stage.RAW)
+def _apply(matrix, lam, rule):
+    """Threshold at lam through the public path: a selection's apply()."""
+    sel = LambdaSelection(lam=lam, grid=np.array([0.0, lam]), cv_scores=np.zeros(2), rule=rule)
+    return sel.apply(matrix)
 
+
+class TestApplyThreshold:
     def test_lambda_zero_is_identity(self):
         m = np.array([[2.0, 0.3], [0.3, 1.0]])
         for rule in RULES:
-            out = apply_threshold(self._raw(m), 0.0, rule)
-            np.testing.assert_array_equal(out.matrix, m)
-            assert out.stage is Stage.THRESHOLDED
+            np.testing.assert_array_equal(_apply(m, 0.0, rule), m)
 
     def test_huge_lambda_hard_gives_diagonal(self):
         m = np.array([[2.0, 0.3, -0.1], [0.3, 1.0, 0.2], [-0.1, 0.2, 0.5]])
-        out = apply_threshold(self._raw(m), 10.0, ThresholdRule("hard"))
-        np.testing.assert_array_equal(out.matrix, np.diag(np.diagonal(m)))
+        out = _apply(m, 10.0, ThresholdRule("hard"))
+        np.testing.assert_array_equal(out, np.diag(np.diagonal(m)))
 
     def test_small_diagonal_survives(self):
         m = np.array([[0.01, 0.3], [0.3, 0.01]])
-        out = apply_threshold(self._raw(m), 0.5, ThresholdRule("soft"))
-        assert out.matrix[0, 0] == 0.01
-        assert out.matrix[1, 1] == 0.01
-        assert out.matrix[0, 1] == 0.0
+        out = _apply(m, 0.5, ThresholdRule("soft"))
+        assert out[0, 0] == 0.01
+        assert out[1, 1] == 0.01
+        assert out[0, 1] == 0.0
 
     def test_symmetry_preserved(self):
         gen = np.random.default_rng(5)
         a = gen.standard_normal((6, 6))
         m = (a + a.T) / 2
         for rule in RULES:
-            out = apply_threshold(self._raw(m), 0.4, rule)
-            np.testing.assert_array_equal(out.matrix, out.matrix.T)
-
-    def test_stage_mismatch(self):
-        est = DynCovEstimate(u=np.zeros(1), matrix=np.eye(2), stage=Stage.THRESHOLDED)
-        with pytest.raises(ValueError):
-            apply_threshold(est, 0.1, ThresholdRule("soft"))
+            out = _apply(m, 0.4, rule)
+            np.testing.assert_array_equal(out, out.T)
 
     def test_zero_set_monotone_in_lambda(self):
         gen = np.random.default_rng(7)
@@ -178,7 +171,7 @@ class TestApplyThreshold:
                     (j, r)
                     for j in range(8)
                     for r in range(8)
-                    if j != r and apply_threshold(self._raw(m), lam, rule).matrix[j, r] == 0
+                    if j != r and _apply(m, lam, rule)[j, r] == 0
                 }
                 if prev_zeros is not None:
                     assert prev_zeros <= zeros
@@ -199,12 +192,19 @@ class TestLambdaGrid:
 
     def test_selection_invariants(self):
         grid = np.array([0.0, 0.1, 0.2])
-        sel = LambdaSelection(lam=0.1, grid=grid, cv_scores=np.zeros(3))
+        soft = ThresholdRule("soft")
+        sel = LambdaSelection(lam=0.1, grid=grid, cv_scores=np.zeros(3), rule=soft)
         assert sel.lam in sel.grid
         with pytest.raises(ValueError):
-            LambdaSelection(lam=0.3, grid=grid, cv_scores=np.zeros(3))
+            LambdaSelection(lam=0.3, grid=grid, cv_scores=np.zeros(3), rule=soft)
         with pytest.raises(ValueError):
-            LambdaSelection(lam=0.1, grid=np.array([0.1, 0.2]), cv_scores=np.zeros(2))
+            LambdaSelection(lam=0.1, grid=np.array([0.1, 0.2]), cv_scores=np.zeros(2), rule=soft)
+
+
+def _select(ds, forests, u, rule, folds, grid_size=20, cv=None):
+    """Cross-validated lambda at u, the way the CLI subcommands pick it."""
+    cv = cv or ForestCV(ds, forests[0].config, folds=folds, grid_size=grid_size)
+    return cv.select(u, rule, raw_cov(*forests, ds, u))
 
 
 class TestSelectLambda:
@@ -217,7 +217,7 @@ class TestSelectLambda:
         gen = np.random.default_rng(0)
         ds = Dataset(gen.standard_normal((30, 1)), gen.uniform(-1, 1, (30, 1)))
         forests = self._forests(ds)
-        sel = select_lambda(ds, forests, np.zeros(1), ThresholdRule("soft"), folds=3)
+        sel = _select(ds, forests, np.zeros(1), ThresholdRule("soft"), folds=3)
         assert sel.lam == 0.0
         assert len(sel.grid) == 1
 
@@ -225,7 +225,7 @@ class TestSelectLambda:
         spec = ModelSpec(model=1, p=4, d=2, n=40)
         ds = sample_dataset(spec, np.random.default_rng(1))
         forests = self._forests(ds)
-        sel = select_lambda(ds, forests, np.zeros(2), ThresholdRule("soft"), folds=3, grid_size=20)
+        sel = _select(ds, forests, np.zeros(2), ThresholdRule("soft"), folds=3, grid_size=20)
         assert len(sel.grid) == 21
         assert len(sel.cv_scores) == 21
         assert sel.lam == sel.grid[int(np.argmin(sel.cv_scores))]
@@ -239,11 +239,9 @@ class TestSelectLambda:
         forests = train_cov_forests(ds, cfg)
         u = np.array([-0.9, 0.0])
         rule = ThresholdRule("soft")
-        sel = select_lambda(ds, forests, u, rule, folds=5)
-        from dyncov.covariance import raw_cov
-
-        raw = raw_cov(*forests, ds, u)
-        final = apply_threshold(raw, sel.lam, rule).matrix
+        sel = _select(ds, forests, u, rule, folds=5)
+        final = sel.apply(raw_cov(*forests, ds, u))
+        assert sel.rule == rule
         off = final - np.diag(np.diagonal(final))
         assert np.count_nonzero(off) == 0
 
@@ -253,8 +251,8 @@ class TestSelectLambda:
         forests = self._forests(ds)
         cv = ForestCV(ds, forests[0].config, folds=3)
         u = np.array([0.2, -0.1])
-        fresh = select_lambda(ds, forests, u, ThresholdRule("soft"), folds=3)
-        reused = select_lambda(ds, forests, u, ThresholdRule("soft"), folds=3, cv=cv)
+        fresh = _select(ds, forests, u, ThresholdRule("soft"), folds=3)
+        reused = _select(ds, forests, u, ThresholdRule("soft"), folds=3, cv=cv)
         assert fresh.lam == reused.lam
         np.testing.assert_array_equal(fresh.cv_scores, reused.cv_scores)
 
@@ -266,62 +264,57 @@ class TestSelectLambda:
 
 
 class TestPdCorrect:
-    def _thr(self, matrix):
-        return DynCovEstimate(u=np.zeros(1), matrix=matrix, stage=Stage.THRESHOLDED)
-
     def test_shift_identity(self):
         m = np.diag([-0.3, 1.0])
-        out, info = pd_correct(self._thr(m), c_n=0.01)
+        out, info = pd_correct(m, c_n=0.01)
         assert info.applied
         assert info.delta_hat == pytest.approx(0.3)
-        np.testing.assert_allclose(np.linalg.eigvalsh(out.matrix)[0], 0.01, atol=1e-12)
-        assert out.stage is Stage.PD_CORRECTED
+        np.testing.assert_allclose(np.linalg.eigvalsh(out)[0], 0.01, atol=1e-12)
 
     def test_already_pd_unchanged(self):
         m = np.array([[2.0, 0.1], [0.1, 1.0]])
-        out, info = pd_correct(self._thr(m))
+        out, info = pd_correct(m)
         assert not info.applied
-        np.testing.assert_array_equal(out.matrix, m)
+        np.testing.assert_array_equal(out, m)
 
     def test_zero_matrix_boundary(self):
         # mu_min = 0 counts as "<= 0", so the zero matrix becomes c_n * I.
-        out, info = pd_correct(self._thr(np.zeros((2, 2))), c_n=0.05)
+        out, info = pd_correct(np.zeros((2, 2)), c_n=0.05)
         assert info.applied
-        np.testing.assert_allclose(out.matrix, 0.05 * np.eye(2))
+        np.testing.assert_allclose(out, 0.05 * np.eye(2))
 
     def test_default_cn_scale(self):
         m = np.diag([3.0, -1.0])
         assert default_cn(m) == pytest.approx(3e-4)
         assert default_cn(-np.eye(2)) == 1e-8
 
-    def test_requires_thresholded_stage(self):
-        est = DynCovEstimate(u=np.zeros(1), matrix=np.eye(2), stage=Stage.RAW)
-        with pytest.raises(ValueError):
-            pd_correct(est)
+    def test_requires_square(self):
+        with pytest.raises(ValueError, match="square"):
+            pd_correct(np.zeros((2, 3)))
+
+    def test_requires_symmetry(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            pd_correct(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
     def test_invalid_cn(self):
         with pytest.raises(ValueError):
-            pd_correct(self._thr(np.eye(2)), c_n=0.0)
+            pd_correct(np.eye(2), c_n=0.0)
 
 
 class TestPrecision:
-    def _pd(self, matrix):
-        return DynCovEstimate(u=np.zeros(1), matrix=matrix, stage=Stage.PD_CORRECTED)
-
     def test_diagonal(self):
-        np.testing.assert_allclose(precision(self._pd(np.diag([1.0, 4.0]))), np.diag([1.0, 0.25]))
+        np.testing.assert_allclose(precision(np.diag([1.0, 4.0])), np.diag([1.0, 0.25]))
 
     def test_scaled_identity(self):
-        np.testing.assert_allclose(precision(self._pd(0.01 * np.eye(3))), 100.0 * np.eye(3))
+        np.testing.assert_allclose(precision(0.01 * np.eye(3)), 100.0 * np.eye(3))
 
     def test_residual_contract(self):
         gen = np.random.default_rng(11)
         a = gen.standard_normal((5, 5))
         m = a @ a.T + 0.5 * np.eye(5)
-        inv = precision(self._pd(m))
+        inv = precision(m)
         assert np.abs(m @ inv - np.eye(5)).max() < 1e-8
 
-    def test_stage_guard(self):
-        est = DynCovEstimate(u=np.zeros(1), matrix=np.eye(2), stage=Stage.RAW)
-        with pytest.raises(ValueError):
-            precision(est)
+    def test_rejects_non_pd(self):
+        with pytest.raises(ValueError, match="not positive definite"):
+            precision(np.diag([1.0, -1.0]))
