@@ -3,14 +3,13 @@
 Flag precedence is CLI > config file > defaults.  The config file is flat
 ``key=value`` text with keys named exactly like the long flags.  Every
 output artifact embeds the effective configuration, and all randomness flows
-from the single --seed through named substreams, so reruns (at any worker
-count) are byte-identical.
+from the single --seed through named substreams, so reruns are byte-identical.
+Training is serial: --workers is still accepted but has no effect.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -72,14 +71,16 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
             merged[key] = cli_value
     if merged["workers"] < 1:
         raise UsageError(f"--workers must be >= 1, got {merged['workers']}")
-    # More threads than cores cannot help; results are the same at any count.
-    merged["workers"] = min(merged["workers"], os.cpu_count() or 1)
+    if merged["folds"] < 2:
+        raise UsageError(f"--folds must be >= 2, got {merged['folds']}")
+    if merged["grid-size"] < 0:
+        raise UsageError(f"--grid-size must be >= 0, got {merged['grid-size']}")
     return merged
 
 
 def _config_lines(cfg: dict) -> list[str]:
-    # workers is an execution detail with no effect on results, so it stays
-    # out of the embedded config: runs at any worker count are byte-identical.
+    # workers has no effect, so it stays out of the embedded config: runs at
+    # any worker count are byte-identical.
     return [f"{k}={cfg[k]}" for k in sorted(cfg) if k != "workers"]
 
 
@@ -95,12 +96,15 @@ def _forest_config(cfg: dict) -> ForestConfig:
     )
 
 
-def _resolve(forest: ForestConfig, n: int, d: int) -> ForestConfig:
+def _resolve(forest: ForestConfig, n: int, d: int, folds: int | None = None) -> ForestConfig:
     """The forest config resolved for n training rows of dimension d.
 
-    An infeasible config (say, min_leaf above the J2 half-sample size) is a
-    usage error, found before any tree is grown.
+    An infeasible config (say, min_leaf above the J2 half-sample size), or
+    too few rows for ``folds``-fold CV when one is run, is a usage error,
+    found before any tree is grown.
     """
+    if folds is not None and n < 2 * folds:
+        raise UsageError(f"n={n} too small for {folds}-fold CV")
     try:
         return forest.resolve(n, d)
     except ValueError as exc:
@@ -124,7 +128,7 @@ _FOREST_DEFAULTS = {
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="flat key=value config file")
     sub.add_argument("--seed", type=int)
-    sub.add_argument("--workers", type=int)
+    sub.add_argument("--workers", type=int, help="has no effect: training is serial")
     sub.add_argument("--trees", type=int)
     sub.add_argument("--subsample", type=int)
     sub.add_argument("--min-leaf", type=int)
@@ -166,7 +170,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         methods = tuple(MethodSpec.parse(m) for m in cfg["methods"].split(",") if m)
         forest = _forest_config(cfg)
         if any(m.name in ("fdcm", "mfdcm") for m in methods):
-            forest = _resolve(forest, model.n, model.d)
+            forest = _resolve(forest, model.n, model.d, cfg["folds"])
         exp = ExperimentConfig(
             model=model,
             methods=methods,
@@ -176,7 +180,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             folds=cfg["folds"],
             grid_size=cfg["grid-size"],
             lambda_mode=cfg["lambda-mode"],
-            workers=cfg["workers"],
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -216,7 +219,10 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         if not Path(cfg[path_key]).exists():
             raise UsageError(f"--{path_key} file not found: {cfg[path_key]}")
     layout = _layout_from(cfg)
-    rule = ThresholdRule.parse(cfg["rule"])
+    try:
+        rule = ThresholdRule.parse(cfg["rule"])
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
     dataset = load_returns_csv(cfg["train"], layout)
     queries = load_query_csv(cfg["query"])
@@ -225,12 +231,12 @@ def cmd_estimate(args: argparse.Namespace) -> int:
             f"query points have {queries.shape[1]} columns, training data has d={dataset.d}"
         )
 
-    forest_cfg = _resolve(_forest_config(cfg), dataset.n, dataset.d)
-    forests = train_cov_forests(dataset, forest_cfg, workers=cfg["workers"])
+    folds = None if cfg["stage"] == "raw" else cfg["folds"]
+    forest_cfg = _resolve(_forest_config(cfg), dataset.n, dataset.d, folds)
+    forests = train_cov_forests(dataset, forest_cfg)
     cv = None
-    if cfg["stage"] != "raw":
-        cv = ForestCV(dataset, forest_cfg, folds=cfg["folds"], grid_size=cfg["grid-size"],
-                      workers=cfg["workers"])
+    if folds is not None:
+        cv = ForestCV(dataset, forest_cfg, folds=folds, grid_size=cfg["grid-size"])
 
     out_dir = Path(cfg["out-dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -287,7 +293,7 @@ def cmd_backtest(args: argparse.Namespace) -> int:
         )
     forest_cfg = _forest_config(cfg)
     if spec.method == "mfdcm":
-        forest_cfg = _resolve(forest_cfg, cfg["window"], panel.d)
+        forest_cfg = _resolve(forest_cfg, cfg["window"], panel.d, cfg["folds"])
     result = backtest(
         panel,
         spec,
@@ -297,7 +303,6 @@ def cmd_backtest(args: argparse.Namespace) -> int:
         grid_size=cfg["grid-size"],
         stride=cfg["stride"],
         seed=cfg["seed"],
-        workers=cfg["workers"],
     )
 
     out = Path(cfg["out"])

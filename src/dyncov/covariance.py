@@ -9,8 +9,6 @@ correction.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from .data import Dataset
@@ -54,24 +52,12 @@ def raw_cov(
     return second - np.outer(mean, mean)
 
 
-def train_cov_forests(
-    dataset: Dataset,
-    config: ForestConfig,
-    shared: bool = False,
-    workers: int = 1,
-) -> tuple[Forest, Forest]:
-    """Train the mean and second-moment forests for raw_cov.
-
-    With ``shared=True`` the second-moment forest reuses the mean forest's
-    node arrays (same partitions for both weightings), which makes raw_cov
-    exactly positive semidefinite at the cost of the two-forest structure.
-    """
-    mean_forest = train_forest(dataset, config, ResponseKind.MEAN, workers=workers)
-    if shared:
-        sm_forest = replace(mean_forest, response_kind=ResponseKind.SECOND_MOMENT)
-    else:
-        sm_forest = train_forest(dataset, config, ResponseKind.SECOND_MOMENT, workers=workers)
-    return mean_forest, sm_forest
+def train_cov_forests(dataset: Dataset, config: ForestConfig) -> tuple[Forest, Forest]:
+    """Train the mean and the second-moment forest for raw_cov, mean first."""
+    return (
+        train_forest(dataset, config, ResponseKind.MEAN),
+        train_forest(dataset, config, ResponseKind.SECOND_MOMENT),
+    )
 
 
 def write_matrix_csv(path, matrix: np.ndarray, header_lines: list[str] | None = None) -> None:

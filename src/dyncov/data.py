@@ -2,8 +2,7 @@
 
 A :class:`Dataset` holds ``n`` paired observations ``(y_i, u_i)`` with
 ``y_i`` a length-``p`` response vector and ``u_i`` a length-``d``
-conditioning-covariate vector.  Datasets are immutable after construction and
-safe to share across concurrent tree builders.
+conditioning-covariate vector.  Datasets are immutable after construction.
 """
 
 from __future__ import annotations

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import enum
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -396,33 +395,19 @@ def grow_tree(
     )
 
 
-def _grow_one(dataset, config, response_kind, b):
-    kind_tag = 0 if response_kind is ResponseKind.MEAN else 1
-    rng = _streams.substream(config.seed, _streams.TREE, kind_tag, b)
-    idx = subsample(dataset.n, config.subsample_size, rng)
-    j1, j2 = split_sample(idx, rng)
-    return grow_tree(dataset, j1, j2, response_kind, config, rng)
-
-
-def train_forest(
-    dataset: Dataset,
-    config: ForestConfig,
-    response_kind: ResponseKind,
-    workers: int = 1,
-) -> Forest:
-    """Train B honest trees on independent subsamples.
+def train_forest(dataset: Dataset, config: ForestConfig, response_kind: ResponseKind) -> Forest:
+    """Train B honest trees on independent subsamples, one after another.
 
     Each tree draws from its own RNG stream keyed on (seed, kind, tree index),
-    so the result is identical for any worker count.
+    so no tree's draws depend on the order the trees are grown in.
     """
     cfg = config.resolve(dataset.n, dataset.d)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            trees = list(
-                pool.map(lambda b: _grow_one(dataset, cfg, response_kind, b), range(cfg.n_trees))
-            )
-    else:
-        trees = [_grow_one(dataset, cfg, response_kind, b) for b in range(cfg.n_trees)]
+    kind_tag = 0 if response_kind is ResponseKind.MEAN else 1
+    trees = []
+    for b in range(cfg.n_trees):
+        rng = _streams.substream(cfg.seed, _streams.TREE, kind_tag, b)
+        j1, j2 = split_sample(subsample(dataset.n, cfg.subsample_size, rng), rng)
+        trees.append(grow_tree(dataset, j1, j2, response_kind, cfg, rng))
     return Forest.from_trees(trees, cfg, response_kind, dataset.n, dataset.d, dataset.fingerprint())
 
 

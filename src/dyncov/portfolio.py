@@ -110,12 +110,11 @@ class BacktestResult:
 class _ForestArm:
     """Rolling forest estimator with optional retrain stride."""
 
-    def __init__(self, spec, config, folds, grid_size, workers):
+    def __init__(self, spec, config, folds, grid_size):
         self.spec = spec
         self.config = config
         self.folds = folds
         self.grid_size = grid_size
-        self.workers = workers
         self._forests = None
         self._cv = None
         self._train = None
@@ -123,9 +122,8 @@ class _ForestArm:
     def estimate(self, train: Dataset, u: np.ndarray, retrain: bool) -> np.ndarray:
         if retrain or self._forests is None:
             self._train = train
-            self._forests = train_cov_forests(train, self.config, workers=self.workers)
-            self._cv = ForestCV(train, self.config, folds=self.folds, grid_size=self.grid_size,
-                                workers=self.workers)
+            self._forests = train_cov_forests(train, self.config)
+            self._cv = ForestCV(train, self.config, folds=self.folds, grid_size=self.grid_size)
         raw = raw_cov(*self._forests, self._train, u)
         return pd_correct(self._cv.select(u, self.spec.rule, raw).apply(raw))[0]
 
@@ -139,7 +137,6 @@ def backtest(
     grid_size: int = 20,
     stride: int = 1,
     seed: int = 0,
-    workers: int = 1,
 ) -> BacktestResult:
     """Daily-rebalanced minimum-variance backtest over a rolling window.
 
@@ -165,7 +162,7 @@ def backtest(
     arm = None
     if spec.method == "mfdcm":
         cfg = replace((forest_config or ForestConfig()).resolve(window, panel.d), seed=seed)
-        arm = _ForestArm(spec, cfg, folds, grid_size, workers)
+        arm = _ForestArm(spec, cfg, folds, grid_size)
 
     daily = np.empty(T - window)
     weights = np.empty((T - window, p))

@@ -291,7 +291,6 @@ class ExperimentConfig:
     folds: int = 5
     grid_size: int = 20
     lambda_mode: str = "per-point"  # or "shared" (select once at the covariate centroid)
-    workers: int = 1
 
     def __post_init__(self):
         if self.reps < 1:
@@ -356,8 +355,8 @@ def _forest_estimates(
     rules: list[ThresholdRule],
 ) -> dict[ThresholdRule, list[np.ndarray]]:
     """Thresholded forest estimates at every query point, one list per rule."""
-    forests = train_cov_forests(dataset, config.forest, workers=config.workers)
-    cv = ForestCV(dataset, config.forest, folds=config.folds, grid_size=config.grid_size, workers=config.workers)
+    forests = train_cov_forests(dataset, config.forest)
+    cv = ForestCV(dataset, config.forest, folds=config.folds, grid_size=config.grid_size)
     raws = [raw_cov(*forests, dataset, u) for u in points]
     out: dict[ThresholdRule, list[np.ndarray]] = {}
     for rule in rules:

@@ -7,7 +7,7 @@ Every shrinkage rule s_lambda satisfies |s(z)| <= |z|, s(z) = 0 for
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -169,15 +169,7 @@ def _subset_config(config: ForestConfig, m: int, n_full: int, n_trees: int) -> F
     """Scale a resolved config to an m-row subset (CV fold training)."""
     s = max(2, min(m, round(config.subsample_size * m / n_full)))
     k = min(config.min_leaf, max(1, s // 2))
-    return ForestConfig(
-        n_trees=n_trees,
-        subsample_size=s,
-        min_leaf=k,
-        regularity=config.regularity,
-        random_split_prob=config.random_split_prob,
-        mtry=config.mtry,
-        seed=config.seed,
-    )
+    return replace(config, n_trees=n_trees, subsample_size=s, min_leaf=k)
 
 
 # Fold forests get 1/CV_TREE_DIVISOR of the main forests' trees, at least CV_MIN_TREES.
@@ -200,7 +192,6 @@ class ForestCV:
         config: ForestConfig,
         folds: int = 5,
         grid_size: int = 20,
-        workers: int = 1,
     ):
         if folds < 2:
             raise ValueError("need at least 2 folds")
@@ -217,8 +208,8 @@ class ForestCV:
             hold_ds = dataset.subset(fold)
             train_cfg = _subset_config(cfg, len(train_idx), dataset.n, n_cv_trees)
             hold_cfg = _subset_config(cfg, len(fold), dataset.n, n_cv_trees)
-            train_forests = train_cov_forests(train_ds, train_cfg, workers=workers)
-            hold_forests = train_cov_forests(hold_ds, hold_cfg, workers=workers)
+            train_forests = train_cov_forests(train_ds, train_cfg)
+            hold_forests = train_cov_forests(hold_ds, hold_cfg)
             self._pairs.append(((train_forests, train_ds), (hold_forests, hold_ds)))
 
     def select(self, u: np.ndarray, rule: ThresholdRule, raw: np.ndarray) -> LambdaSelection:

@@ -1,11 +1,11 @@
-import os
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dyncov import _streams
-from dyncov.cli import _FOREST_DEFAULTS, EXIT_OK, EXIT_USAGE, _merge_config, build_parser, main
+from dyncov import _streams, forest
+from dyncov.cli import EXIT_OK, EXIT_USAGE, main
 from dyncov.covariance import read_matrix_csv
 from dyncov.data import CsvLayout, write_returns_csv
 from dyncov.simulation import ModelSpec, sample_dataset
@@ -74,6 +74,15 @@ class TestSimulate:
         assert "min_leaf=9 exceeds the J2 half-sample size floor(s/2)=7" in capsys.readouterr().err
         assert not out.with_suffix(".csv").exists()
 
+    def test_too_few_rows_for_folds_is_usage_error(self, tmp_path, capsys):
+        # n=30 cannot hold 16 folds of two rows; only the forest methods run that CV.
+        out = tmp_path / "x"
+        code = main(SIM_FLAGS + ["--methods", "fdcm:soft", "--folds", "16", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "n=30 too small for 16-fold CV" in capsys.readouterr().err
+        assert not out.with_suffix(".csv").exists()
+        assert main(SIM_FLAGS + ["--folds", "16", "--out", str(tmp_path / "static")]) == EXIT_OK
+
     def test_config_file_and_cli_precedence(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("model=1\np=4\nd=2\nn=30\nreps=1\nmethods=static:soft\n"
@@ -91,9 +100,9 @@ class TestSimulate:
 
 
 class TestEstimate:
-    def _common(self, tmp_path):
+    def _common(self, tmp_path, T=40):
         train = tmp_path / "train.csv"
-        layout = _write_panel(train, T=40, p=3, d=2, seed=3)
+        layout = _write_panel(train, T=T, p=3, d=2, seed=3)
         query = tmp_path / "query.csv"
         query.write_text("u1,u2\n0.0,0.0\n0.5,-0.5\n")
         return train, query, layout
@@ -177,6 +186,46 @@ class TestEstimate:
         assert "min_leaf=11 exceeds the J2 half-sample size floor(s/2)=10" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_unknown_rule_is_usage_error(self, tmp_path, capsys):
+        train, query, _ = self._common(tmp_path)
+        code = main([
+            "estimate", "--train", str(train), "--query", str(query),
+            "--response-cols", "y1,y2,y3", "--covariate-cols", "u1,u2",
+            "--trees", "4", "--rule", "bogus", "--out-dir", str(tmp_path / "est"),
+        ])
+        assert code == EXIT_USAGE
+        assert "unknown thresholding rule 'bogus'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--folds", "7"], "n=12 too small for 7-fold CV"),
+        (["--folds", "1"], "--folds must be >= 2, got 1"),
+        (["--grid-size", "-1"], "--grid-size must be >= 0, got -1"),
+    ], ids=["folds-7", "folds-1", "grid-size-neg"])
+    def test_cv_flags_checked_before_training(self, tmp_path, capsys, monkeypatch, flags, message):
+        train, query, _ = self._common(tmp_path, T=12)
+        monkeypatch.setattr(forest, "grow_tree", None)  # growing a tree would raise TypeError
+        out_dir = tmp_path / "est"
+        code = main([
+            "estimate", "--train", str(train), "--query", str(query),
+            "--response-cols", "y1,y2,y3", "--covariate-cols", "u1,u2",
+            "--trees", "4", "--min-leaf", "2", "--out-dir", str(out_dir), *flags,
+        ])
+        assert code == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("flags", [["--grid-size", "0"], ["--folds", "7", "--stage", "raw"]],
+                             ids=["grid-size-0", "raw-stage-folds-7"])
+    def test_cv_flags_accepted(self, tmp_path, flags):
+        # A zero grid selects lambda = 0; the raw stage runs no CV, so any fold count fits.
+        train, query, _ = self._common(tmp_path, T=12)
+        code = main([
+            "estimate", "--train", str(train), "--query", str(query),
+            "--response-cols", "y1,y2,y3", "--covariate-cols", "u1,u2",
+            "--trees", "4", "--min-leaf", "2", "--out-dir", str(tmp_path / "est"), *flags,
+        ])
+        assert code == EXIT_OK
+
     @pytest.mark.parametrize("cell, what", [
         ("nan", "non-finite"), ("-inf", "non-finite"), ("x", "non-numeric"),
     ])
@@ -230,6 +279,15 @@ class TestBacktest:
         code, _ = self._run(tmp_path, extra=["--method", "static:soft"], out="static")
         assert code == EXIT_OK
 
+    def test_window_too_small_for_folds_refuses_only_the_forest_arm(self, tmp_path, capsys):
+        extra = ["--min-leaf", "2", "--folds", "6"]
+        code, out = self._run(tmp_path, extra=extra + ["--method", "mfdcm:soft"])
+        assert code == EXIT_USAGE
+        assert "n=10 too small for 6-fold CV" in capsys.readouterr().err
+        assert not out.with_suffix(".summary.txt").exists()
+        code, _ = self._run(tmp_path, extra=extra, out="identity")
+        assert code == EXIT_OK
+
     def test_bad_panel_cell_is_usage_error(self, tmp_path, capsys):
         panel = tmp_path / "panel.csv"
         _write_panel(panel, T=30, p=2, d=2, seed=5)
@@ -271,13 +329,23 @@ class TestWorkersFlag:
         assert "--workers must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
-    def test_capped_at_cpu_count(self, monkeypatch):
-        # Checked on the merged config: no subcommand runs, so no thread starts.
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        args = build_parser().parse_args(["simulate", "--workers", "64"])
-        assert _merge_config(args, dict(_FOREST_DEFAULTS))["workers"] == 2
-        args = build_parser().parse_args(["simulate"])
-        assert _merge_config(args, dict(_FOREST_DEFAULTS))["workers"] == 1
+    def test_training_starts_no_thread(self, tmp_path, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        sim = ["simulate", "--model", "1", "--p", "3", "--d", "2", "--n", "24", "--reps", "1",
+               "--methods", "fdcm:soft", "--trees", "4", "--folds", "2", "--min-leaf", "2"]
+        assert main(sim + ["--workers", "2", "--out", str(tmp_path / "sim")]) == EXIT_OK
+        panel = tmp_path / "panel.csv"
+        _write_panel(panel, T=26, p=2, d=2, seed=5)
+        code = main([
+            "backtest", "--panel", str(panel), "--response-cols", "y1,y2",
+            "--covariate-cols", "u1,u2", "--method", "mfdcm:soft", "--window", "20",
+            "--stride", "6", "--trees", "4", "--folds", "2", "--min-leaf", "2",
+            "--workers", "2", "--out", str(tmp_path / "bt"),
+        ])
+        assert code == EXIT_OK
 
 
 class TestWorkerDeterminism:

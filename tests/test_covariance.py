@@ -133,16 +133,6 @@ class TestRawCov:
         with pytest.raises(ValueError):
             raw_cov(*forests, other, np.zeros(1))
 
-    def test_shared_trees_psd(self):
-        # When both weightings come from the same trees, the raw estimate is
-        # a weighted covariance and hence positive semidefinite.
-        ds = make_dataset(n=50, p=5, d=2, seed=12)
-        forests = train_cov_forests(ds, ForestConfig(n_trees=10, min_leaf=3, seed=2), shared=True)
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            m = raw_cov(*forests, ds, rng.uniform(-1, 1, 2))
-            assert np.linalg.eigvalsh(m)[0] >= -1e-10
-
     def test_monotone_covariate_transform_at_training_points(self):
         # Strictly increasing per-coordinate maps preserve covariate ranks, so
         # with fixed seeds the trees route training points identically and the

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dyncov.covariance import train_cov_forests
 from dyncov.data import Dataset
 from dyncov.forest import (
     Forest,
@@ -290,13 +289,6 @@ class TestTrainForest:
         b = train_forest(ds, cfg, ResponseKind.MEAN)
         assert same_forest(a, b)
 
-    def test_worker_count_irrelevant(self):
-        ds = make_dataset(n=40, p=2, d=2, seed=2)
-        cfg = ForestConfig(n_trees=24, min_leaf=2, seed=5)
-        serial = train_forest(ds, cfg, ResponseKind.SECOND_MOMENT, workers=1)
-        parallel = train_forest(ds, cfg, ResponseKind.SECOND_MOMENT, workers=8)
-        assert same_forest(serial, parallel)
-
     def test_mean_and_second_moment_streams_differ(self):
         ds = make_dataset(n=30, p=2, d=2, seed=0)
         cfg = ForestConfig(n_trees=4, min_leaf=2, seed=0)
@@ -420,7 +412,7 @@ class TestFlatRouter:
         B=st.integers(1, 12),
         min_leaf=st.integers(1, 5),
         seed=st.integers(0, 2**16),
-        kind=st.sampled_from(["mean", "second_moment", "shared"]),
+        kind=st.sampled_from(["mean", "second_moment"]),
     )
     def test_matches_oracle_and_seed_loop_exactly(self, n, d, B, min_leaf, seed, kind):
         n = max(n, 4 * min_leaf)  # |J2| = floor(ceil(n/2)/2) must reach min_leaf
@@ -428,13 +420,7 @@ class TestFlatRouter:
         # Coarse covariates make many ties between rows and split thresholds.
         ds = Dataset(ds.y, np.round(ds.u, 1))
         cfg = ForestConfig(n_trees=B, min_leaf=min_leaf, mtry=d, seed=seed)
-        if kind == "shared":
-            mean_forest, forest = train_cov_forests(ds, cfg, shared=True)
-            assert forest.response_kind is ResponseKind.SECOND_MOMENT
-            for name in ("feature", "threshold", "left", "right", "start", "count", "members", "roots"):
-                assert getattr(forest, name) is getattr(mean_forest, name)
-        else:
-            forest = train_forest(ds, cfg, ResponseKind(kind))
+        forest = train_forest(ds, cfg, ResponseKind(kind))
         for u in _query_points(forest, ds, np.random.default_rng(seed)):
             got = weight_vector(forest, u).to_dense()
             np.testing.assert_array_equal(got, oracle_weights(forest, ds, u))
