@@ -23,7 +23,7 @@ from .simulation import (
     ModelSpec,
     run_experiment,
 )
-from .thresholding import ForestCV, ThresholdRule, pd_correct
+from .thresholding import ForestCV, ThresholdRule, check_cv_folds, pd_correct
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -103,9 +103,9 @@ def _resolve(forest: ForestConfig, n: int, d: int, folds: int | None = None) -> 
     too few rows for ``folds``-fold CV when one is run, is a usage error,
     found before any tree is grown.
     """
-    if folds is not None and n < 2 * folds:
-        raise UsageError(f"n={n} too small for {folds}-fold CV")
     try:
+        if folds is not None:
+            check_cv_folds(n, folds)
         return forest.resolve(n, d)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc

@@ -10,6 +10,16 @@ n1*n2/nP^2.  For second-moment targets the p^2-vectors vec(y y^T) are never
 materialized during growth: their inner products reduce to squared response
 inner products, so all split scores come from a per-tree Gram matrix.
 
+Split search makes one scan per node over its F candidate features.  Each
+sort covers all F at once: a stable argsort of their J1 values, and a sort
+of the merged J1/J2 values, whose adjacent distinct values give the candidate
+thresholds at their midpoints.  Every feasible delta of every candidate goes
+into one array, and its first maximum picks the split, so on equal deltas
+the lowest feature, then the lowest threshold, wins.  Only the m1 x m1 work
+runs per candidate: its block of the tree's Gram matrix is gathered straight
+from that matrix in the candidate's sorted order, one C-contiguous block at
+a time, and reduced to the prefix sums the delta needs.
+
 Layout.  ``grow_tree`` returns one :class:`Tree`; ``train_forest`` packs the
 B trees of a :class:`Forest` into one set of flat arrays over all its nodes:
 
@@ -252,59 +262,93 @@ def _target_gram(y_j1: np.ndarray, kind: ResponseKind) -> np.ndarray:
     return inner**2 if kind is ResponseKind.SECOND_MOMENT else inner
 
 
+def _scan(v1, v2, gram, rows, min_child_j2):
+    """Best (delta, candidate, threshold) over F candidate features, or None.
+
+    v1 (F, m1) and v2 (F, m2) hold the node's J1 and J2 values of each
+    candidate; ``gram[np.ix_(rows, rows)]`` is the node's J1 target Gram
+    matrix, with rows aligned with the columns of v1.  All F candidates are
+    scanned together; only the Gram prefix sums are built one candidate at a
+    time, each from a C-contiguous block gathered straight from ``gram``.
+    """
+    m1, m2 = v1.shape[1], v2.shape[1]
+    order = np.argsort(v1, axis=1, kind="stable")
+    v1s, v2s = np.sort(v1, axis=1), np.sort(v2, axis=1)
+    merged = np.sort(np.concatenate([v1s, v2s], axis=1), axis=1)
+    # Candidate thresholds: midpoints of adjacent distinct values, the same
+    # set as the midpoints of np.unique; repeated values give no candidate.
+    lo, hi = merged[:, :-1], merged[:, 1:]
+    thresholds = (lo + hi) / 2.0
+    # Count against each threshold itself, not its gap: the midpoint of two
+    # adjacent doubles rounds onto one of them.
+    n1_left = np.empty(thresholds.shape, dtype=np.intp)
+    n2_left = np.empty(thresholds.shape, dtype=np.intp)
+    for f in range(len(v1)):
+        n1_left[f] = v1s[f].searchsorted(thresholds[f], side="right")
+        n2_left[f] = v2s[f].searchsorted(thresholds[f], side="right")
+    feasible = (
+        (lo != hi)
+        & (n1_left >= 1)
+        & (n1_left <= m1 - 1)
+        & (n2_left >= min_child_j2)
+        & (m2 - n2_left >= min_child_j2)
+    )
+    cand, t = np.nonzero(feasible)  # candidate-major, thresholds ascending
+    if len(cand) == 0:
+        return None
+
+    # Prefix quantities over each candidate's sorted J1 points: after taking
+    # the first m points left, ||S_left||^2 is the double prefix sum and
+    # S_left . S_total is the prefix of row sums.  A candidate's block must
+    # be its own C-contiguous array: the row sums' pairwise order follows
+    # the memory layout.
+    sorted_rows = rows[order]
+    double_prefix = np.zeros((len(v1), m1))
+    row_sums = np.zeros((len(v1), m1))
+    for f in np.flatnonzero(feasible.any(axis=1)):
+        r = sorted_rows[f]
+        g = gram.take(r, axis=0).take(r, axis=1)
+        row_sums[f] = g.sum(axis=1)
+        g.cumsum(axis=0, out=g)
+        g.cumsum(axis=1, out=g)
+        double_prefix[f] = g.diagonal()
+    dot_total_prefix = row_sums.cumsum(axis=1)
+    total_norm = row_sums.sum(axis=1)
+
+    nl = n1_left[cand, t]
+    nr = m1 - nl
+    s_left = double_prefix[cand, nl - 1]
+    d_left = dot_total_prefix[cand, nl - 1]
+    cross = d_left - s_left
+    s_right = total_norm[cand] - 2.0 * d_left + s_left
+    delta = (s_left / nl**2 - 2.0 * cross / (nl * nr) + s_right / nr**2) * nl * nr / m1**2
+    # First max: the first candidate reaching the best delta, at its lowest threshold.
+    best = int(np.argmax(delta))
+    return float(delta[best]), int(cand[best]), float(thresholds[cand[best], t[best]])
+
+
 def _best_split_on_feature(v1, v2, gram, min_child_j2):
     """Best (delta, threshold) on one feature, or None if nothing is feasible.
 
     v1/v2 are the node's J1/J2 values of the feature; gram is the node's J1
     target Gram matrix aligned with v1.
     """
-    m1, m2 = len(v1), len(v2)
-    values = np.unique(np.concatenate([v1, v2]))
-    if len(values) < 2:
-        return None
-    thresholds = (values[:-1] + values[1:]) / 2.0
-
-    order = np.argsort(v1, kind="stable")
-    v1s = v1[order]
-    g = gram[np.ix_(order, order)]
-    # Prefix quantities over the sorted J1 points: after taking the first m
-    # points left, ||S_left||^2 is the double prefix sum and S_left . S_total
-    # is the prefix of row sums.
-    double_prefix = g.cumsum(axis=0).cumsum(axis=1).diagonal()
-    row_sums = g.sum(axis=1)
-    dot_total_prefix = np.cumsum(row_sums)
-    total_norm = float(row_sums.sum())
-
-    n1_left = np.searchsorted(v1s, thresholds, side="right")
-    n2_left = np.searchsorted(np.sort(v2), thresholds, side="right")
-    feasible = (
-        (n1_left >= 1)
-        & (n1_left <= m1 - 1)
-        & (n2_left >= min_child_j2)
-        & (m2 - n2_left >= min_child_j2)
-    )
-    if not feasible.any():
-        return None
-
-    idx = np.flatnonzero(feasible)
-    nl = n1_left[idx]
-    nr = m1 - nl
-    s_left = double_prefix[nl - 1]
-    d_left = dot_total_prefix[nl - 1]
-    cross = d_left - s_left
-    s_right = total_norm - 2.0 * d_left + s_left
-    delta = (s_left / nl**2 - 2.0 * cross / (nl * nr) + s_right / nr**2) * nl * nr / m1**2
-    best = int(np.argmax(delta))  # first max -> lowest threshold on ties
-    return float(delta[best]), float(thresholds[idx[best]])
+    hit = _scan(v1[None], v2[None], gram, np.arange(len(v1)), min_child_j2)
+    return None if hit is None else (hit[0], hit[2])
 
 
-def best_split(u_j1, gram, u_j2, config: ForestConfig, rng: np.random.Generator, d: int):
+def best_split(u_j1, u_j2, gram, rows, config: ForestConfig, rng: np.random.Generator, d: int):
     """Choose a split for a node, or None to make it a leaf.
 
-    With probability ``random_split_prob`` one feature is drawn uniformly and
-    only it is scanned; otherwise ``mtry`` candidate features compete on the
-    delta criterion.  Any split must leave each child >= max(k, ceil(omega *
-    node J2 count)) J2 points and >= 1 J1 point.
+    u_j1/u_j2 are the node's J1/J2 covariates and ``gram[np.ix_(rows,
+    rows)]`` its J1 target Gram matrix, in the row order of u_j1.  With
+    probability ``random_split_prob`` one feature is drawn uniformly and only
+    it is scanned; otherwise ``mtry`` candidate features compete on the delta
+    criterion, all in one scan of the node.  Each candidate's Gram block is
+    gathered from ``gram`` in its sorted order, one candidate at a time.  On
+    equal deltas the lowest feature, then the lowest threshold, wins.  Any
+    split must leave each child >= max(k, ceil(omega * node J2 count)) J2
+    points and >= 1 J1 point.
     """
     m1, m2 = len(u_j1), len(u_j2)
     if m1 < 2 or m2 < 2 * config.min_leaf:
@@ -312,21 +356,14 @@ def best_split(u_j1, gram, u_j2, config: ForestConfig, rng: np.random.Generator,
     min_child_j2 = max(config.min_leaf, math.ceil(config.regularity * m2))
 
     if rng.random() < config.random_split_prob:
-        features = [int(rng.integers(d))]
+        features = np.array([rng.integers(d)])
     else:
-        features = sorted(int(f) for f in rng.choice(d, size=config.mtry, replace=False))
+        features = np.sort(rng.choice(d, size=config.mtry, replace=False))
 
-    best = None
-    for f in features:
-        cand = _best_split_on_feature(u_j1[:, f], u_j2[:, f], gram, min_child_j2)
-        if cand is None:
-            continue
-        delta, thr = cand
-        if best is None or delta > best[0]:
-            best = (delta, f, thr)
-    if best is None:
+    hit = _scan(u_j1[:, features].T, u_j2[:, features].T, gram, rows, min_child_j2)
+    if hit is None:
         return None
-    return best[1], best[2]
+    return int(features[hit[1]]), hit[2]
 
 
 def grow_tree(
@@ -342,7 +379,7 @@ def grow_tree(
     j2 = np.sort(np.asarray(j2, dtype=int))
     if len(j2) < config.min_leaf:
         raise ValueError(f"|J2|={len(j2)} below min_leaf={config.min_leaf}")
-    u = dataset.u
+    u1, u2 = dataset.u[j1], dataset.u[j2]
     gram_all = _target_gram(dataset.y[j1], response_kind)
     d = dataset.d
 
@@ -365,7 +402,7 @@ def grow_tree(
     stack = [(root, np.arange(len(j1)), np.arange(len(j2)))]
     while stack:
         nid, p1, p2 = stack.pop()
-        split = best_split(u[j1[p1]], gram_all[np.ix_(p1, p1)], u[j2[p2]], config, rng, d)
+        split = best_split(u1[p1], u2[p2], gram_all, p1, config, rng, d)
         if split is None:
             chunks.append(j2[p2])
             start[nid], count[nid] = filled, len(p2)
@@ -374,8 +411,8 @@ def grow_tree(
             continue
         f, thr = split
         feature[nid], threshold[nid] = f, thr
-        mask1 = u[j1[p1], f] <= thr
-        mask2 = u[j2[p2], f] <= thr
+        mask1 = u1[p1, f] <= thr
+        mask2 = u2[p2, f] <= thr
         lid, rid = new_node(), new_node()
         left[nid], right[nid] = lid, rid
         # Push right first so the left branch is grown (and draws RNG) first.

@@ -7,6 +7,7 @@ Every shrinkage rule s_lambda satisfies |s(z)| <= |z|, s(z) = 0 for
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -172,6 +173,29 @@ def _subset_config(config: ForestConfig, m: int, n_full: int, n_trees: int) -> F
     return replace(config, n_trees=n_trees, subsample_size=s, min_leaf=k)
 
 
+# A fold forest is trained on at least CV_MIN_TRAIN_ROWS rows.
+CV_MIN_TRAIN_ROWS = 4
+
+
+def check_cv_folds(n: int, folds: int) -> None:
+    """Raise ValueError unless n rows allow ``ForestCV`` with ``folds`` folds.
+
+    Every fold must hold out at least 2 rows, and every fold's complement,
+    the rows its forests train on, needs CV_MIN_TRAIN_ROWS rows; the largest
+    fold, of ceil(n/folds) rows, leaves the smallest complement.
+    """
+    if folds < 2:
+        raise ValueError("need at least 2 folds")
+    if n < 2 * folds:
+        raise ValueError(f"n={n} too small for {folds}-fold CV")
+    complement = n - math.ceil(n / folds)
+    if complement < CV_MIN_TRAIN_ROWS:
+        raise ValueError(
+            f"n={n} too small for {folds}-fold CV: a fold's complement has {complement} rows,"
+            f" a fold forest needs {CV_MIN_TRAIN_ROWS}"
+        )
+
+
 # Fold forests get 1/CV_TREE_DIVISOR of the main forests' trees, at least CV_MIN_TREES.
 CV_TREE_DIVISOR = 5
 CV_MIN_TREES = 50
@@ -193,17 +217,12 @@ class ForestCV:
         folds: int = 5,
         grid_size: int = 20,
     ):
-        if folds < 2:
-            raise ValueError("need at least 2 folds")
-        if dataset.n < 2 * folds:
-            raise ValueError(f"n={dataset.n} too small for {folds}-fold CV")
+        check_cv_folds(dataset.n, folds)
         cfg = config.resolve(dataset.n, dataset.d)
         n_cv_trees = max(CV_MIN_TREES, cfg.n_trees // CV_TREE_DIVISOR)
         self.grid_size = grid_size
         self._pairs = []
-        for v, (train_idx, fold) in enumerate(_fold_splits(np.arange(dataset.n), folds, cfg.seed)):
-            if len(train_idx) < 4:
-                raise ValueError(f"fold {v}: complement too small to train a forest")
+        for train_idx, fold in _fold_splits(np.arange(dataset.n), folds, cfg.seed):
             train_ds = dataset.subset(train_idx)
             hold_ds = dataset.subset(fold)
             train_cfg = _subset_config(cfg, len(train_idx), dataset.n, n_cv_trees)

@@ -226,6 +226,21 @@ class TestEstimate:
         ])
         assert code == EXIT_OK
 
+    def test_small_fold_complement_checked_before_training(self, tmp_path, capsys, monkeypatch):
+        # 6 rows in 2 folds leave 3 training rows per fold; 3 folds leave 4, enough.
+        train, query, _ = self._common(tmp_path, T=6)
+        argv = [
+            "estimate", "--train", str(train), "--query", str(query),
+            "--response-cols", "y1,y2,y3", "--covariate-cols", "u1,u2",
+            "--trees", "2", "--min-leaf", "1", "--out-dir", str(tmp_path / "est"),
+        ]
+        with monkeypatch.context() as patch:
+            patch.setattr(forest, "grow_tree", None)  # growing a tree would raise TypeError
+            assert main([*argv, "--folds", "2"]) == EXIT_USAGE
+        assert "a fold's complement has 3 rows, a fold forest needs 4" in capsys.readouterr().err
+        assert not (tmp_path / "est").exists()
+        assert main([*argv, "--folds", "3"]) == EXIT_OK
+
     @pytest.mark.parametrize("cell, what", [
         ("nan", "non-finite"), ("-inf", "non-finite"), ("x", "non-numeric"),
     ])

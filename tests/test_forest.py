@@ -25,6 +25,7 @@ from tests.conftest import (
     loop_weights,
     make_dataset,
     oracle_weights,
+    reference_forest,
     route_independent,
     same_forest,
     vec_outer,
@@ -120,7 +121,7 @@ class TestBestSplit:
         u_j2 = np.array([[0.05], [0.15], [0.75], [0.95]])
         gram = _target_gram(y_j1, ResponseKind.MEAN)
         rng = np.random.default_rng(0)
-        split = best_split(u_j1, gram, u_j2, self._config(), rng, d=1)
+        split = best_split(u_j1, u_j2, gram, np.arange(len(u_j1)), self._config(), rng, d=1)
         assert split is not None
         f, thr = split
         assert f == 0
@@ -134,7 +135,7 @@ class TestBestSplit:
         y_j1 = np.ones((3, 1))
         u_j2 = np.array([[0.2], [0.4], [0.6], [0.8]])
         gram = _target_gram(y_j1, ResponseKind.MEAN)
-        split = best_split(u_j1, gram, u_j2, self._config(min_leaf=2),
+        split = best_split(u_j1, u_j2, gram, np.arange(len(u_j1)), self._config(min_leaf=2),
                            np.random.default_rng(1), d=1)
         assert split is not None
         f, thr = split
@@ -146,7 +147,7 @@ class TestBestSplit:
         y_j1 = np.array([[0.0], [1.0]])
         u_j2 = np.array([[0.2], [0.3], [0.8]])  # 2k-1 points for k=2
         gram = _target_gram(y_j1, ResponseKind.MEAN)
-        split = best_split(u_j1, gram, u_j2, self._config(min_leaf=2),
+        split = best_split(u_j1, u_j2, gram, np.arange(len(u_j1)), self._config(min_leaf=2),
                            np.random.default_rng(0), d=1)
         assert split is None
 
@@ -155,7 +156,8 @@ class TestBestSplit:
         y_j1 = np.arange(4.0)[:, None]
         u_j2 = np.full((4, 1), 0.5)
         gram = _target_gram(y_j1, ResponseKind.MEAN)
-        split = best_split(u_j1, gram, u_j2, self._config(), np.random.default_rng(0), d=1)
+        split = best_split(u_j1, u_j2, gram, np.arange(len(u_j1)), self._config(),
+                           np.random.default_rng(0), d=1)
         assert split is None
 
     def test_matches_naive_scan_random(self):
@@ -170,7 +172,7 @@ class TestBestSplit:
                 v2 = rng.uniform(-1, 1, m2)
                 gram = _target_gram(y, kind)
                 cfg = self._config(min_leaf=1)
-                got = best_split(v1[:, None], gram, v2[:, None], cfg,
+                got = best_split(v1[:, None], v2[:, None], gram, np.arange(m1), cfg,
                                  np.random.default_rng(0), d=1)
                 ref = _naive_best_split_1d(y, v1, v2, 1, kind)
                 if ref is None:
@@ -178,6 +180,43 @@ class TestBestSplit:
                 else:
                     assert got is not None
                     assert got[1] == ref[1]
+
+
+class TestSplitSearchIdentity:
+    """The one-scan split search grows the trees of the per-feature loop bit for bit."""
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        n=st.integers(8, 100),
+        p=st.integers(1, 4),
+        d=st.integers(1, 5),
+        mtry=st.integers(1, 5),
+        min_leaf=st.integers(1, 5),
+        random_split_prob=st.sampled_from([0.05, 1.0]),
+        kind=st.sampled_from(list(ResponseKind)),
+        covariates=st.sampled_from(["continuous", "rounded", "adjacent", "duplicated", "mirrored"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_reference_forest(self, n, p, d, mtry, min_leaf, random_split_prob,
+                                      kind, covariates, seed):
+        n = max(n, 4 * min_leaf)  # |J2| = floor(ceil(n/2)/2) must reach min_leaf
+        ds = make_dataset(n=n, p=p, d=d, seed=seed)
+        u = ds.u if covariates == "continuous" else np.round(ds.u, 1)
+        if covariates == "adjacent":
+            # A value or the next double up: their midpoint rounds onto one of the two.
+            up = np.random.default_rng(seed).random(u.shape) < 0.5
+            u = np.where(up, np.nextafter(u, np.inf), u)
+        elif covariates == "duplicated":
+            # Identical features score equal deltas: the lowest feature must win.
+            u = np.repeat(ds.u[:, :1], d, axis=1)
+        elif covariates == "mirrored":
+            # u and -u score the same splits summed in opposite orders, so the
+            # winner hangs on the last bits of each delta.
+            u = np.where(np.arange(d) % 2, -ds.u[:, :1], ds.u[:, :1])
+        ds = Dataset(ds.y, u)
+        cfg = ForestConfig(n_trees=3, min_leaf=min_leaf, random_split_prob=random_split_prob,
+                           mtry=min(mtry, d), seed=seed)
+        assert same_forest(train_forest(ds, cfg, kind), reference_forest(ds, cfg, kind))
 
 
 def _traverse_leaves(tree):
