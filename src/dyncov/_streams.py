@@ -1,8 +1,7 @@
 """Named RNG substreams derived from a single root seed.
 
 Every source of randomness in the package flows through `substream`, so a
-run is fully determined by its root seed and results are identical for any
-worker count.
+run is fully determined by its root seed.
 """
 
 from __future__ import annotations

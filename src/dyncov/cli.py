@@ -1,10 +1,11 @@
 """Command-line interface: `simulate`, `estimate` and `backtest` subcommands.
 
-Flag precedence is CLI > config file > defaults.  The config file is flat
-``key=value`` text with keys named exactly like the long flags.  Every
-output artifact embeds the effective configuration, and all randomness flows
-from the single --seed through named substreams, so reruns are byte-identical.
-Training is serial: --workers is still accepted but has no effect.
+Each subcommand's settings are declared once, in a table of `Setting` rows
+that yields its flags and config-file keys, their types and their checks.
+Precedence is CLI > config file > defaults; a bad config line is a usage
+error naming ``FILE:LINE``.  Every artifact embeds the effective settings,
+and all randomness flows from the single --seed through named substreams, so
+reruns are byte-identical.  Training is serial: --workers has no effect.
 """
 
 from __future__ import annotations
@@ -12,17 +13,13 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 from .covariance import raw_cov, train_cov_forests, write_matrix_csv
 from .data import CsvFormatError, CsvLayout, load_query_csv, load_returns_csv
 from .forest import ForestConfig
 from .portfolio import BacktestSpec, backtest
-from .simulation import (
-    ExperimentConfig,
-    MethodSpec,
-    ModelSpec,
-    run_experiment,
-)
+from .simulation import ExperimentConfig, MethodSpec, ModelSpec, run_experiment
 from .thresholding import ForestCV, ThresholdRule, check_cv_folds, pd_correct
 
 EXIT_OK = 0
@@ -34,47 +31,114 @@ class UsageError(ValueError):
     pass
 
 
-def _read_config_file(path: str) -> dict[str, str]:
+class Setting(NamedTuple):
+    """Flag ``--key`` and config key ``key``; a default of None makes it required."""
+
+    key: str
+    type: type
+    default: object
+    help: str | None = None
+    choices: tuple | None = None
+    minimum: int | None = None
+
+
+_COMMON = (
+    Setting("seed", int, 0),
+    Setting("workers", int, 1, "has no effect: training is serial", minimum=1),
+    Setting("trees", int, 500),
+    Setting("subsample", int, 0, "0 means ceil(n/2)"),
+    Setting("min-leaf", int, 5),
+    Setting("omega", float, 0.05),
+    Setting("random-split-prob", float, 0.05),
+    Setting("mtry", int, 0, "0 means ceil(sqrt(d))"),
+    Setting("folds", int, 5, minimum=2),
+    Setting("grid-size", int, 20, minimum=0),
+)
+
+_CSV_LAYOUT = (
+    Setting("response-cols", str, None),
+    Setting("covariate-cols", str, None),
+    Setting("date-col", str, ""),
+    Setting("lag", int, 0, minimum=0),
+)
+
+_SIMULATE = _COMMON + (
+    Setting("model", int, 1, choices=(1, 2, 3, 4)),
+    Setting("p", int, 100),
+    Setting("d", int, 10),
+    Setting("n", int, 100),
+    Setting("reps", int, 50),
+    Setting("methods", str, "fdcm:soft", "comma list, e.g. fdcm:soft,static:scad:3.7,kernel:1:soft"),
+    Setting("lambda-mode", str, "per-point", choices=("per-point", "shared")),
+    Setting("out", str, "simulate", "output path prefix"),
+)
+
+_ESTIMATE = _COMMON + (
+    Setting("train", str, None, "training CSV"),
+    Setting("query", str, None, "CSV of query covariate vectors"),
+    *_CSV_LAYOUT,
+    Setting("rule", str, "soft"),
+    Setting("stage", str, "corrected", choices=("raw", "thresholded", "corrected")),
+    Setting("out-dir", str, "estimates"),
+)
+
+_BACKTEST = _COMMON + (
+    Setting("panel", str, None, "panel CSV"),
+    *_CSV_LAYOUT,
+    Setting("method", str, "mfdcm:soft"),
+    Setting("window", int, 100, minimum=2),
+    Setting("stride", int, 1, minimum=1),
+    Setting("out", str, "backtest", "output path prefix"),
+)
+
+
+def _check(setting: Setting, value, where: str):
+    if setting.choices is not None and value not in setting.choices:
+        raise UsageError(f"{where} must be one of {setting.choices}, got {value!r}")
+    if setting.minimum is not None and value < setting.minimum:
+        raise UsageError(f"{where} must be >= {setting.minimum}, got {value}")
+    return value
+
+
+def _read_config_file(path: str, settings: tuple[Setting, ...]) -> dict:
+    """The file's values, each converted and checked; errors name FILE:LINE."""
+    by_key = {s.key: s for s in settings}
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise UsageError(f"--config {path}: {exc.strerror}") from exc
     values = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        where = f"{path}:{lineno}"
+        key, eq, raw = (part.strip() for part in line.partition("="))
+        if not eq:
+            raise UsageError(f"{where}: expected key=value, got {line!r}")
+        if key not in by_key:
+            raise UsageError(f"{where}: unknown config key {key!r}")
+        setting = by_key[key]
+        try:
+            value = setting.type(raw)
+        except ValueError:
+            kind = setting.type.__name__
+            raise UsageError(f"{where}: {key}: expected {kind}, got {raw!r}") from None
+        values[key] = _check(setting, value, f"{where}: {key}")
     return values
 
 
-def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
+def _merge_config(args: argparse.Namespace, settings: tuple[Setting, ...]) -> dict:
     """CLI > config file > defaults."""
-    merged = dict(defaults)
-    if getattr(args, "config", None):
-        file_values = _read_config_file(args.config)
-        unknown = set(file_values) - set(defaults)
-        if unknown:
-            raise UsageError(f"unknown config keys: {sorted(unknown)}")
-        for key, raw in file_values.items():
-            default = defaults[key]
-            if isinstance(default, bool):
-                merged[key] = raw.lower() in ("1", "true", "yes")
-            elif isinstance(default, int):
-                merged[key] = int(raw)
-            elif isinstance(default, float):
-                merged[key] = float(raw)
-            else:
-                merged[key] = raw
-    for key in defaults:
-        cli_value = getattr(args, key.replace("-", "_"), None)
-        if cli_value is not None:
-            merged[key] = cli_value
-    if merged["workers"] < 1:
-        raise UsageError(f"--workers must be >= 1, got {merged['workers']}")
-    if merged["folds"] < 2:
-        raise UsageError(f"--folds must be >= 2, got {merged['folds']}")
-    if merged["grid-size"] < 0:
-        raise UsageError(f"--grid-size must be >= 0, got {merged['grid-size']}")
+    merged = {s.key: s.default for s in settings}
+    if args.config:
+        merged.update(_read_config_file(args.config, settings))
+    for s in settings:
+        value = getattr(args, s.key.replace("-", "_"))
+        if value is not None:
+            merged[s.key] = _check(s, value, f"--{s.key}")
+        if s.default is None and not merged[s.key]:
+            raise UsageError(f"--{s.key} is required")
     return merged
 
 
@@ -111,39 +175,7 @@ def _resolve(forest: ForestConfig, n: int, d: int, folds: int | None = None) -> 
         raise UsageError(str(exc)) from exc
 
 
-_FOREST_DEFAULTS = {
-    "trees": 500,
-    "subsample": 0,  # 0 -> ceil(n/2)
-    "min-leaf": 5,
-    "omega": 0.05,
-    "random-split-prob": 0.05,
-    "mtry": 0,  # 0 -> ceil(sqrt(d))
-    "seed": 0,
-    "folds": 5,
-    "grid-size": 20,
-    "workers": 1,
-}
-
-
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="flat key=value config file")
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--workers", type=int, help="has no effect: training is serial")
-    sub.add_argument("--trees", type=int)
-    sub.add_argument("--subsample", type=int)
-    sub.add_argument("--min-leaf", type=int)
-    sub.add_argument("--omega", type=float)
-    sub.add_argument("--random-split-prob", type=float)
-    sub.add_argument("--mtry", type=int)
-    sub.add_argument("--folds", type=int)
-    sub.add_argument("--grid-size", type=int)
-
-
 def _layout_from(cfg: dict) -> CsvLayout:
-    if not cfg["response-cols"]:
-        raise UsageError("--response-cols is required")
-    if not cfg["covariate-cols"]:
-        raise UsageError("--covariate-cols is required")
     return CsvLayout(
         response_cols=tuple(cfg["response-cols"].split(",")),
         covariate_cols=tuple(cfg["covariate-cols"].split(",")),
@@ -152,19 +184,7 @@ def _layout_from(cfg: dict) -> CsvLayout:
     )
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    defaults = {
-        **_FOREST_DEFAULTS,
-        "model": 1,
-        "p": 100,
-        "d": 10,
-        "n": 100,
-        "reps": 50,
-        "methods": "fdcm:soft",
-        "lambda-mode": "per-point",
-        "out": "simulate",
-    }
-    cfg = _merge_config(args, defaults)
+def cmd_simulate(cfg: dict) -> int:
     try:
         model = ModelSpec(model=cfg["model"], p=cfg["p"], d=cfg["d"], n=cfg["n"])
         methods = tuple(MethodSpec.parse(m) for m in cfg["methods"].split(",") if m)
@@ -195,26 +215,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_estimate(args: argparse.Namespace) -> int:
-    defaults = {
-        **_FOREST_DEFAULTS,
-        "train": "",
-        "query": "",
-        "response-cols": "",
-        "covariate-cols": "",
-        "date-col": "",
-        "lag": 0,
-        "rule": "soft",
-        "stage": "corrected",
-        "out-dir": "estimates",
-    }
-    cfg = _merge_config(args, defaults)
-    if not cfg["train"]:
-        raise UsageError("--train is required")
-    if not cfg["query"]:
-        raise UsageError("--query is required")
-    if cfg["stage"] not in ("raw", "thresholded", "corrected"):
-        raise UsageError("--stage must be raw | thresholded | corrected")
+def cmd_estimate(cfg: dict) -> int:
     for path_key in ("train", "query"):
         if not Path(cfg[path_key]).exists():
             raise UsageError(f"--{path_key} file not found: {cfg[path_key]}")
@@ -262,22 +263,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_backtest(args: argparse.Namespace) -> int:
-    defaults = {
-        **_FOREST_DEFAULTS,
-        "panel": "",
-        "response-cols": "",
-        "covariate-cols": "",
-        "date-col": "",
-        "lag": 0,
-        "method": "mfdcm:soft",
-        "window": 100,
-        "stride": 1,
-        "out": "backtest",
-    }
-    cfg = _merge_config(args, defaults)
-    if not cfg["panel"]:
-        raise UsageError("--panel is required")
+def cmd_backtest(cfg: dict) -> int:
     if not Path(cfg["panel"]).exists():
         raise UsageError(f"--panel file not found: {cfg['panel']}")
     layout = _layout_from(cfg)
@@ -327,59 +313,32 @@ def cmd_backtest(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+_COMMANDS = {
+    "simulate": ("run a Monte Carlo benchmark", cmd_simulate, _SIMULATE),
+    "estimate": ("train forests and emit covariance matrices", cmd_estimate, _ESTIMATE),
+    "backtest": ("rolling minimum-variance backtest", cmd_backtest, _BACKTEST),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dyncov",
         description="Covariate-conditional covariance estimation with honest forests",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sim = subs.add_parser("simulate", help="run a Monte Carlo benchmark")
-    _add_common_flags(sim)
-    sim.add_argument("--model", type=int, choices=(1, 2, 3, 4))
-    sim.add_argument("--p", type=int)
-    sim.add_argument("--d", type=int)
-    sim.add_argument("--n", type=int)
-    sim.add_argument("--reps", type=int)
-    sim.add_argument("--methods", help="comma list, e.g. fdcm:soft,static:scad:3.7,kernel:1:soft")
-    sim.add_argument("--lambda-mode", choices=("per-point", "shared"))
-    sim.add_argument("--out", help="output path prefix")
-    sim.set_defaults(func=cmd_simulate)
-
-    est = subs.add_parser("estimate", help="train forests and emit covariance matrices")
-    _add_common_flags(est)
-    est.add_argument("--train", help="training CSV")
-    est.add_argument("--query", help="CSV of query covariate vectors")
-    est.add_argument("--response-cols")
-    est.add_argument("--covariate-cols")
-    est.add_argument("--date-col")
-    est.add_argument("--lag", type=int)
-    est.add_argument("--rule")
-    est.add_argument("--stage", choices=("raw", "thresholded", "corrected"))
-    est.add_argument("--out-dir")
-    est.set_defaults(func=cmd_estimate)
-
-    back = subs.add_parser("backtest", help="rolling minimum-variance backtest")
-    _add_common_flags(back)
-    back.add_argument("--panel", help="panel CSV")
-    back.add_argument("--response-cols")
-    back.add_argument("--covariate-cols")
-    back.add_argument("--date-col")
-    back.add_argument("--lag", type=int)
-    back.add_argument("--method")
-    back.add_argument("--window", type=int)
-    back.add_argument("--stride", type=int)
-    back.add_argument("--out", help="output path prefix")
-    back.set_defaults(func=cmd_backtest)
-
+    for name, (help_text, _, settings) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=help_text)
+        sub.add_argument("--config", help="flat key=value config file")
+        for s in settings:
+            sub.add_argument(f"--{s.key}", type=s.type, choices=s.choices, help=s.help)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    _, command, settings = _COMMANDS[args.command]
     try:
-        return args.func(args)
+        return command(_merge_config(args, settings))
     except (UsageError, CsvFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -66,15 +66,4 @@ def write_matrix_csv(path, matrix: np.ndarray, header_lines: list[str] | None = 
         for line in header_lines or []:
             fh.write(f"# {line}\n")
         for row in np.asarray(matrix, dtype=float):
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
-def read_matrix_csv(path) -> np.ndarray:
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            rows.append([float(c) for c in line.split(",")])
-    return np.asarray(rows, dtype=float)
+            fh.write(",".join(map(repr, row.tolist())) + "\n")

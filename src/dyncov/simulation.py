@@ -117,10 +117,10 @@ def sample_dataset(spec: ModelSpec, rng: np.random.Generator) -> Dataset:
     return Dataset(y, u)
 
 
-def test_points(d: int, count: int = N_TEST_POINTS) -> np.ndarray:
+def test_points(d: int) -> np.ndarray:
     """The frozen benchmark query points for dimension d (constant across runs)."""
-    rng = _streams.substream(_streams.TEST_POINT_ROOT, _streams.TEST_POINTS, d, count)
-    return rng.uniform(-1.0, 1.0, size=(count, d))
+    rng = _streams.substream(_streams.TEST_POINT_ROOT, _streams.TEST_POINTS, d, N_TEST_POINTS)
+    return rng.uniform(-1.0, 1.0, size=(N_TEST_POINTS, d))
 
 
 def losses(est: np.ndarray, truth: np.ndarray) -> tuple[float, float]:
@@ -215,7 +215,6 @@ def kernel_dcm_baseline(
     covariate_index: int,
     u: np.ndarray,
     rule: ThresholdRule,
-    bandwidth: float | None = None,
     folds: int = 5,
     grid_size: int = 20,
     seed: int = 0,
@@ -230,7 +229,7 @@ def kernel_dcm_baseline(
         raise ValueError(f"covariate index must be in 1..{dataset.d}")
     uj = dataset.u[:, j]
     target = float(np.asarray(u, dtype=float)[j])
-    h = bandwidth if bandwidth is not None else rule_of_thumb_bandwidth(uj)
+    h = rule_of_thumb_bandwidth(uj)
     return cv_threshold(
         _kernel_raw(dataset.y, uj, target, h),
         lambda idx: _kernel_raw(dataset.y[idx], uj[idx], target, h),

@@ -1,12 +1,12 @@
+import re
 import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dyncov import _streams, forest
+from dyncov import _streams, cli, forest
 from dyncov.cli import EXIT_OK, EXIT_USAGE, main
-from dyncov.covariance import read_matrix_csv
 from dyncov.data import CsvLayout, write_returns_csv
 from dyncov.simulation import ModelSpec, sample_dataset
 
@@ -116,7 +116,7 @@ class TestEstimate:
             "--trees", "10", "--folds", "3", "--out-dir", str(out_dir),
         ])
         assert code == EXIT_OK
-        m = read_matrix_csv(out_dir / "sigma_000.csv")
+        m = np.loadtxt(out_dir / "sigma_000.csv", delimiter=",", comments="#", ndmin=2)
         assert m.shape == (3, 3)
         np.testing.assert_array_equal(m, m.T)
         assert np.linalg.eigvalsh(m)[0] > 0  # corrected stage output
@@ -334,6 +334,96 @@ class TestBacktest:
             "--out", str(tmp_path / "x"),
         ])
         assert code == EXIT_USAGE
+
+
+class TestSettings:
+    @pytest.mark.parametrize("line, key", [
+        ("trees=abc", "trees"), ("trees=", "trees"), ("folds=1", "folds"),
+        ("model=9", "model"), ("lambda-mode=all", "lambda-mode"),
+    ])
+    def test_bad_config_value_names_file_line_and_key(self, tmp_path, capsys, line, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# a comment\nseed=1\n{line}\n")
+        out = tmp_path / "x"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert f"{cfg}:3: {key}" in capsys.readouterr().err
+        assert not out.with_suffix(".csv").exists()
+
+    def test_missing_config_file_names_path(self, tmp_path, capsys):
+        cfg = tmp_path / "nope.cfg"
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == EXIT_USAGE
+        assert str(cfg) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["estimate", "--lag", "-1"], "--lag must be >= 0, got -1"),
+        (["backtest", "--lag", "-1"], "--lag must be >= 0, got -1"),
+        (["backtest", "--stride", "0"], "--stride must be >= 1, got 0"),
+        (["backtest", "--window", "1"], "--window must be >= 2, got 1"),
+    ], ids=["estimate-lag", "backtest-lag", "stride", "window"])
+    def test_ranges_checked_before_loading(self, tmp_path, capsys, monkeypatch, argv, message):
+        panel = tmp_path / "panel.csv"
+        _write_panel(panel, T=30, p=2, d=2, seed=5)
+        query = tmp_path / "query.csv"
+        query.write_text("u1,u2\n0.0,0.0\n")
+        out = tmp_path / "out"
+        inputs = {
+            "estimate": ["--train", str(panel), "--query", str(query), "--out-dir", str(out)],
+            "backtest": ["--panel", str(panel), "--method", "mfdcm:soft", "--out", str(out)],
+        }
+        # Loading data or growing a tree would raise TypeError.
+        monkeypatch.setattr(cli, "load_returns_csv", None)
+        monkeypatch.setattr(forest, "grow_tree", None)
+        code = main([*argv, *inputs[argv[0]], "--response-cols", "y1,y2",
+                     "--covariate-cols", "u1,u2", "--trees", "4", "--min-leaf", "2"])
+        assert code == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.glob("out*"))
+
+    def _small_run(self, tmp_path, command):
+        """(argv, artifacts) of a small run; the first artifact holds the config header."""
+        if command == "simulate":
+            out = tmp_path / "sim"
+            artifacts = [out.with_suffix(".csv"), out.with_suffix(".txt")]
+            return SIM_FLAGS + ["--out", str(out)], artifacts
+        panel = tmp_path / "panel.csv"
+        _write_panel(panel, T=24, p=2, d=2, seed=5)
+        cols = ["--response-cols", "y1,y2", "--covariate-cols", "u1,u2", "--trees", "4",
+                "--min-leaf", "2", "--folds", "2", "--seed", "3"]
+        if command == "estimate":
+            query = tmp_path / "query.csv"
+            query.write_text("u1,u2\n0.0,0.0\n0.5,-0.5\n")
+            out = tmp_path / "est"
+            argv = ["estimate", "--train", str(panel), "--query", str(query),
+                    "--out-dir", str(out), "--stage", "thresholded", *cols]
+            return argv, [out / "manifest.csv", out / "sigma_000.csv", out / "sigma_001.csv"]
+        out = tmp_path / "bt"
+        argv = ["backtest", "--panel", str(panel), "--method", "mfdcm:soft", "--window", "16",
+                "--stride", "3", "--lag", "1", "--out", str(out), *cols]
+        suffixes = (".returns.csv", ".weights.csv", ".summary.txt")
+        return argv, [out.with_suffix(suffix) for suffix in suffixes]
+
+    @pytest.mark.parametrize("command", ["simulate", "estimate", "backtest"])
+    def test_config_file_replays_flags(self, tmp_path, capsys, command):
+        # Every flag that --help lists is a config key, and a config file made of
+        # the embedded key=value header reproduces the flag run byte for byte.
+        argv, artifacts = self._small_run(tmp_path, command)
+        assert main(argv) == EXIT_OK
+        first = [path.read_bytes() for path in artifacts]
+        header = [line[2:] for line in artifacts[0].read_text().splitlines()
+                  if line.startswith("# ")]
+        capsys.readouterr()
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        flags = set(re.findall(r"--([a-z][a-z-]*)", capsys.readouterr().out))
+        keys = {line.partition("=")[0] for line in header} | {"workers"}
+        assert flags - {"help", "config"} == keys
+
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("\n".join(header + ["workers=2"]) + "\n")
+        for path in artifacts:
+            path.unlink()
+        assert main([command, "--config", str(cfg)]) == EXIT_OK
+        assert [path.read_bytes() for path in artifacts] == first
 
 
 class TestWorkersFlag:
