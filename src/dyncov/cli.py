@@ -46,11 +46,11 @@ _COMMON = (
     Setting("seed", int, 0),
     Setting("workers", int, 1, "has no effect: training is serial", minimum=1),
     Setting("trees", int, 500),
-    Setting("subsample", int, 0, "0 means ceil(n/2)"),
+    Setting("subsample", int, 0, "0 means ceil(n/2)", minimum=0),
     Setting("min-leaf", int, 5),
     Setting("omega", float, 0.05),
     Setting("random-split-prob", float, 0.05),
-    Setting("mtry", int, 0, "0 means ceil(sqrt(d))"),
+    Setting("mtry", int, 0, "0 means ceil(sqrt(d))", minimum=0),
     Setting("folds", int, 5, minimum=2),
     Setting("grid-size", int, 20, minimum=0),
 )
@@ -176,12 +176,15 @@ def _resolve(forest: ForestConfig, n: int, d: int, folds: int | None = None) -> 
 
 
 def _layout_from(cfg: dict) -> CsvLayout:
-    return CsvLayout(
-        response_cols=tuple(cfg["response-cols"].split(",")),
-        covariate_cols=tuple(cfg["covariate-cols"].split(",")),
-        date_col=cfg["date-col"] or None,
-        lag=cfg["lag"],
-    )
+    try:
+        return CsvLayout(
+            response_cols=tuple(cfg["response-cols"].split(",")),
+            covariate_cols=tuple(cfg["covariate-cols"].split(",")),
+            date_col=cfg["date-col"] or None,
+            lag=cfg["lag"],
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def cmd_simulate(cfg: dict) -> int:

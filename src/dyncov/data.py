@@ -101,6 +101,10 @@ class CsvLayout:
             raise ValueError("layout declares no covariate columns (d = 0)")
         if self.lag < 0:
             raise ValueError("lag must be >= 0")
+        names = self.response_cols + self.covariate_cols + (self.date_col,)
+        repeated = [c for i, c in enumerate(names) if c is not None and c in names[:i]]
+        if repeated:
+            raise ValueError(f"layout names column {repeated[0]!r} more than once")
 
 
 def _read_numeric_csv(path, text_col: str | None = None) -> tuple[list[str], list[list]]:

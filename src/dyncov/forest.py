@@ -20,21 +20,24 @@ runs per candidate: its block of the tree's Gram matrix is gathered straight
 from that matrix in the candidate's sorted order, one C-contiguous block at
 a time, and reduced to the prefix sums the delta needs.
 
-Layout.  ``grow_tree`` returns one :class:`Tree`; ``train_forest`` packs the
-B trees of a :class:`Forest` into one set of flat arrays over all its nodes:
+Layout.  A :class:`Forest` holds its trees in one set of flat arrays over
+all its nodes, and a tree is a forest of one: ``grow_tree`` returns a
+one-tree forest with local node ids, and ``train_forest`` joins the B trees
+with :meth:`Forest.concat`, which shifts node ids and member offsets.
 
-- ``feature``, ``threshold``, ``left``, ``right`` with global node ids.  A
-  leaf has feature -1 and is its own left and right child, so routing can
+- ``feature``, ``threshold``, ``left``, ``right``: node i sends u to
+  ``left[i]`` when ``u[feature[i]] <= threshold[i]``, else to ``right[i]``.
+  A leaf has feature -1 and is its own left and right child, so routing can
   step every tree at once and leaves stay put;
 - ``roots``: the root id of each tree; tree b owns nodes
-  ``roots[b]:roots[b + 1]``;
+  ``roots[b]:roots[b + 1]``, and ``j1[b]`` holds its J1 rows;
 - leaf members in CSR form: one ``members`` array of dataset indices plus a
-  ``start`` and a ``count`` per node (count 0 at internal nodes).
+  ``start`` and a ``count`` per node (count 0 at internal nodes);
+  ``oversized`` flags leaves above the 2k-1 bound that no split could cut.
 
 ``weight_vector`` routes a query point through all B trees together, one
 NumPy step per tree level, and adds up the leaves' weights with
-``np.bincount``.  ``Forest.trees`` rebuilds per-tree views for inspection;
-nothing on the estimation path uses them.
+``np.bincount``.
 """
 
 from __future__ import annotations
@@ -100,37 +103,6 @@ class ForestConfig:
 
 
 @dataclass
-class Tree:
-    """Binary tree over covariate space with its J2 members at the leaves.
-
-    Node ids are local, with the root at 0.  Internal node i splits on
-    ``feature[i]`` at ``threshold[i]`` (<= goes left) into ``left[i]`` and
-    ``right[i]``; leaves have feature -1 and children -1.  Leaf i holds the
-    dataset indices ``members[start[i]:start[i] + count[i]]`` of its J2
-    members; internal nodes have count 0.  ``oversized`` flags leaves kept
-    above the 2k-1 bound because no feasible split existed.
-    """
-
-    feature: np.ndarray
-    threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    start: np.ndarray
-    count: np.ndarray
-    members: np.ndarray
-    j1_indices: np.ndarray
-    oversized: np.ndarray
-
-    @property
-    def j2_indices(self) -> np.ndarray:
-        """The J2 half of the subsample: the leaves partition it."""
-        return np.sort(self.members)
-
-    def leaf_members(self, nid: int) -> np.ndarray:
-        return self.members[self.start[nid] : self.start[nid] + self.count[nid]]
-
-
-@dataclass
 class Forest:
     """B honest trees packed into flat node arrays; see the module docstring."""
 
@@ -154,63 +126,35 @@ class Forest:
     def n_trees(self) -> int:
         return len(self.roots)
 
-    @classmethod
-    def from_trees(cls, trees: list[Tree], config: ForestConfig, response_kind: ResponseKind,
-                   n: int, d: int, dataset_fingerprint: str) -> "Forest":
-        """Pack trees into the flat layout, shifting node ids and member offsets."""
-        sizes = [len(t.feature) for t in trees]
-        roots = np.cumsum([0] + sizes[:-1])
-        member_offsets = np.cumsum([0] + [len(t.members) for t in trees[:-1]])
-        nodes = np.arange(sum(sizes))
-        feature = np.concatenate([t.feature for t in trees])
-        leaf = feature < 0
-        shift = np.repeat(roots, sizes)
-        return cls(
-            feature=feature,
-            threshold=np.concatenate([t.threshold for t in trees]),
-            left=np.where(leaf, nodes, np.concatenate([t.left for t in trees]) + shift),
-            right=np.where(leaf, nodes, np.concatenate([t.right for t in trees]) + shift),
-            start=np.concatenate([t.start for t in trees]) + np.repeat(member_offsets, sizes),
-            count=np.concatenate([t.count for t in trees]),
-            oversized=np.concatenate([t.oversized for t in trees]),
-            members=np.concatenate([t.members for t in trees]),
-            roots=roots,
-            j1=np.stack([t.j1_indices for t in trees]),
-            config=config,
-            response_kind=response_kind,
-            n=n,
-            d=d,
-            dataset_fingerprint=dataset_fingerprint,
+    @staticmethod
+    def concat(parts: list["Forest"]) -> "Forest":
+        """The trees of ``parts`` in order, as one forest; node ids and member
+        offsets are shifted, and every part must share the same metadata."""
+        first = parts[0]
+        meta = ("config", "response_kind", "n", "d", "dataset_fingerprint")
+        if any(getattr(f, k) != getattr(first, k) for f in parts for k in meta):
+            raise ValueError("cannot concatenate forests with different metadata")
+        sizes = [len(f.feature) for f in parts]
+        firsts = np.cumsum([0] + sizes[:-1])  # each part's first node id
+        offsets = np.cumsum([0] + [len(f.members) for f in parts[:-1]])
+        node_shift, member_shift = np.repeat(firsts, sizes), np.repeat(offsets, sizes)
+
+        def cat(name):
+            return np.concatenate([getattr(f, name) for f in parts])
+
+        return replace(
+            first,
+            feature=cat("feature"),
+            threshold=cat("threshold"),
+            left=cat("left") + node_shift,
+            right=cat("right") + node_shift,
+            start=cat("start") + member_shift,
+            count=cat("count"),
+            oversized=cat("oversized"),
+            members=cat("members"),
+            roots=np.concatenate([f.roots + k for f, k in zip(parts, firsts)]),
+            j1=cat("j1"),
         )
-
-    def tree(self, b: int) -> Tree:
-        """Tree b with local node ids.
-
-        Its arrays are slices of the forest's, except ``left``, ``right`` and
-        ``start``, which are shifted to the tree's own ids and offsets.
-        """
-        lo = int(self.roots[b])
-        hi = int(self.roots[b + 1]) if b + 1 < self.n_trees else len(self.feature)
-        feature = self.feature[lo:hi]
-        start = self.start[lo:hi]
-        count = self.count[lo:hi]
-        first = int(start.min())
-        leaf = feature < 0
-        return Tree(
-            feature=feature,
-            threshold=self.threshold[lo:hi],
-            left=np.where(leaf, -1, self.left[lo:hi] - lo),
-            right=np.where(leaf, -1, self.right[lo:hi] - lo),
-            start=start - first,
-            count=count,
-            members=self.members[first : first + int(count.sum())],
-            j1_indices=self.j1[b],
-            oversized=self.oversized[lo:hi],
-        )
-
-    @property
-    def trees(self) -> list[Tree]:
-        return [self.tree(b) for b in range(self.n_trees)]
 
 
 @dataclass(frozen=True)
@@ -220,14 +164,6 @@ class WeightVector:
     n: int
     indices: np.ndarray
     values: np.ndarray
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros(self.n)
-        dense[self.indices] = self.values
-        return dense
-
-    def total(self) -> float:
-        return float(self.values.sum())
 
 
 def subsample(n: int, s: int, rng: np.random.Generator) -> np.ndarray:
@@ -246,14 +182,6 @@ def split_sample(indices: np.ndarray, rng: np.random.Generator) -> tuple[np.ndar
     perm = rng.permutation(m)
     cut = math.ceil(m / 2)
     return np.sort(indices[perm[:cut]]), np.sort(indices[perm[cut:]])
-
-
-def delta_criterion(sum1: np.ndarray, n1: int, sum2: np.ndarray, n2: int, n_parent: int) -> float:
-    """Split score ||sum1/n1 - sum2/n2||^2 * n1*n2 / n_parent^2."""
-    if n1 < 1 or n2 < 1:
-        raise ValueError("child counts must be >= 1")
-    diff = np.asarray(sum1, dtype=float) / n1 - np.asarray(sum2, dtype=float) / n2
-    return float(diff @ diff * n1 * n2 / n_parent**2)
 
 
 def _target_gram(y_j1: np.ndarray, kind: ResponseKind) -> np.ndarray:
@@ -327,16 +255,6 @@ def _scan(v1, v2, gram, rows, min_child_j2):
     return float(delta[best]), int(cand[best]), float(thresholds[cand[best], t[best]])
 
 
-def _best_split_on_feature(v1, v2, gram, min_child_j2):
-    """Best (delta, threshold) on one feature, or None if nothing is feasible.
-
-    v1/v2 are the node's J1/J2 values of the feature; gram is the node's J1
-    target Gram matrix aligned with v1.
-    """
-    hit = _scan(v1[None], v2[None], gram, np.arange(len(v1)), min_child_j2)
-    return None if hit is None else (hit[0], hit[2])
-
-
 def best_split(u_j1, u_j2, gram, rows, config: ForestConfig, rng: np.random.Generator, d: int):
     """Choose a split for a node, or None to make it a leaf.
 
@@ -373,8 +291,9 @@ def grow_tree(
     response_kind: ResponseKind,
     config: ForestConfig,
     rng: np.random.Generator,
-) -> Tree:
-    """Grow one honest tree: J1 targets drive splits, J2 fills the leaves."""
+) -> Forest:
+    """Grow one honest tree as a one-tree forest with local node ids: J1
+    targets drive splits, J2 fills the leaves."""
     j1 = np.sort(np.asarray(j1, dtype=int))
     j2 = np.sort(np.asarray(j2, dtype=int))
     if len(j2) < config.min_leaf:
@@ -389,14 +308,15 @@ def grow_tree(
     filled = 0
 
     def new_node() -> int:
+        nid = len(feature)
         feature.append(-1)
         threshold.append(math.nan)
-        left.append(-1)
-        right.append(-1)
+        left.append(nid)  # a leaf is its own child until it is split
+        right.append(nid)
         start.append(0)
         count.append(0)
         oversized.append(False)
-        return len(feature) - 1
+        return nid
 
     root = new_node()
     stack = [(root, np.arange(len(j1)), np.arange(len(j2)))]
@@ -419,16 +339,22 @@ def grow_tree(
         stack.append((rid, p1[~mask1], p2[~mask2]))
         stack.append((lid, p1[mask1], p2[mask2]))
 
-    return Tree(
+    return Forest(
         feature=np.asarray(feature, dtype=int),
         threshold=np.asarray(threshold, dtype=float),
         left=np.asarray(left, dtype=int),
         right=np.asarray(right, dtype=int),
         start=np.asarray(start, dtype=int),
         count=np.asarray(count, dtype=int),
-        members=np.concatenate(chunks),
-        j1_indices=j1,
         oversized=np.asarray(oversized, dtype=bool),
+        members=np.concatenate(chunks),
+        roots=np.zeros(1, dtype=int),
+        j1=j1[None],
+        config=config,
+        response_kind=response_kind,
+        n=dataset.n,
+        d=dataset.d,
+        dataset_fingerprint=dataset.fingerprint(),
     )
 
 
@@ -445,7 +371,7 @@ def train_forest(dataset: Dataset, config: ForestConfig, response_kind: Response
         rng = _streams.substream(cfg.seed, _streams.TREE, kind_tag, b)
         j1, j2 = split_sample(subsample(dataset.n, cfg.subsample_size, rng), rng)
         trees.append(grow_tree(dataset, j1, j2, response_kind, cfg, rng))
-    return Forest.from_trees(trees, cfg, response_kind, dataset.n, dataset.d, dataset.fingerprint())
+    return Forest.concat(trees)
 
 
 def weight_vector(forest: Forest, u: np.ndarray) -> WeightVector:

@@ -29,10 +29,10 @@ class ThresholdRule:
     def __post_init__(self):
         if self.kind not in ("hard", "soft", "scad", "alasso"):
             raise ValueError(f"unknown rule kind {self.kind!r}")
-        if self.kind == "scad" and self.a <= 2:
-            raise ValueError("scad requires a > 2")
-        if self.kind == "alasso" and self.eta <= 0:
-            raise ValueError("alasso requires eta > 0")
+        if self.kind == "scad" and not (math.isfinite(self.a) and self.a > 2):
+            raise ValueError(f"scad requires a finite a > 2, got {self.a}")
+        if self.kind == "alasso" and not (math.isfinite(self.eta) and self.eta > 0):
+            raise ValueError(f"alasso requires a finite eta > 0, got {self.eta}")
 
     @classmethod
     def parse(cls, text: str) -> "ThresholdRule":

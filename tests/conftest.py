@@ -9,7 +9,7 @@ import pytest
 
 from dyncov import forest as forest_module
 from dyncov.data import Dataset
-from dyncov.forest import Forest, Tree, _target_gram
+from dyncov.forest import Forest, _scan, _target_gram
 
 
 @pytest.fixture
@@ -44,6 +44,72 @@ def same_forest(a, b):
     return True
 
 
+def tree_view(forest, b):
+    """Tree b as a one-tree forest with local node ids.
+
+    Its arrays are slices of the forest's, except ``left``, ``right`` and
+    ``start``, which are shifted to the tree's own ids and offsets.
+    """
+    lo = int(forest.roots[b])
+    hi = int(forest.roots[b + 1]) if b + 1 < forest.n_trees else len(forest.feature)
+    start, count = forest.start[lo:hi], forest.count[lo:hi]
+    first = int(start.min())
+    return dataclasses.replace(
+        forest,
+        feature=forest.feature[lo:hi],
+        threshold=forest.threshold[lo:hi],
+        left=forest.left[lo:hi] - lo,
+        right=forest.right[lo:hi] - lo,
+        start=start - first,
+        count=count,
+        oversized=forest.oversized[lo:hi],
+        members=forest.members[first : first + int(count.sum())],
+        roots=np.zeros(1, dtype=forest.roots.dtype),
+        j1=forest.j1[b : b + 1],
+    )
+
+
+def trees(forest):
+    return [tree_view(forest, b) for b in range(forest.n_trees)]
+
+
+def leaf_members(tree, nid):
+    return tree.members[tree.start[nid] : tree.start[nid] + tree.count[nid]]
+
+
+def j2_indices(tree):
+    """The J2 half of a one-tree forest's subsample: its leaves partition it."""
+    return np.sort(tree.members)
+
+
+def to_dense(w):
+    dense = np.zeros(w.n)
+    dense[w.indices] = w.values
+    return dense
+
+
+def weight_total(w):
+    return float(w.values.sum())
+
+
+def delta_criterion(sum1, n1, sum2, n2, n_parent):
+    """Split score ||sum1/n1 - sum2/n2||^2 * n1*n2 / n_parent^2."""
+    if n1 < 1 or n2 < 1:
+        raise ValueError("child counts must be >= 1")
+    diff = np.asarray(sum1, dtype=float) / n1 - np.asarray(sum2, dtype=float) / n2
+    return float(diff @ diff * n1 * n2 / n_parent**2)
+
+
+def best_split_on_feature(v1, v2, gram, min_child_j2):
+    """Best (delta, threshold) of ``forest._scan`` on one feature, or None.
+
+    v1/v2 are the node's J1/J2 values of the feature; gram is the node's J1
+    target Gram matrix aligned with v1.
+    """
+    hit = _scan(v1[None], v2[None], gram, np.arange(len(v1)), min_child_j2)
+    return None if hit is None else (hit[0], hit[2])
+
+
 def route_independent(tree, u):
     """Reference routing that re-walks the node arrays from scratch."""
     nid = 0
@@ -62,10 +128,10 @@ def oracle_weights(forest, dataset, u):
     node arrays independently, then accumulates co-leaf frequencies.
     """
     dense = np.zeros(dataset.n)
-    B = len(forest.trees)
-    for tree in forest.trees:
+    B = forest.n_trees
+    for tree in trees(forest):
         leaf = route_independent(tree, u)
-        members = [int(i) for i in tree.j2_indices if route_independent(tree, dataset.u[i]) == leaf]
+        members = [int(i) for i in j2_indices(tree) if route_independent(tree, dataset.u[i]) == leaf]
         if not members:
             continue
         for i in members:
@@ -81,11 +147,11 @@ def loop_weights(forest, u):
     """
     dense = np.zeros(forest.n)
     B = forest.n_trees
-    for tree in forest.trees:
+    for tree in trees(forest):
         nid = 0
         while tree.feature[nid] >= 0:
             nid = tree.left[nid] if u[tree.feature[nid]] <= tree.threshold[nid] else tree.right[nid]
-        members = tree.leaf_members(nid)
+        members = leaf_members(tree, nid)
         if len(members) == 0:  # cannot occur under the leaf-size invariant
             continue
         dense[members] += 1.0 / (B * len(members))
@@ -162,7 +228,10 @@ def reference_best_split(u_j1, gram, u_j2, config, rng, d):
 
 
 def reference_grow_tree(dataset, j1, j2, response_kind, config, rng):
-    """Grow one tree with ``reference_best_split``, copying each node's Gram block."""
+    """Grow one tree with ``reference_best_split``, copying each node's Gram block.
+
+    Returned as a one-tree forest, the packaging of ``grow_tree``.
+    """
     j1 = np.sort(np.asarray(j1, dtype=int))
     j2 = np.sort(np.asarray(j2, dtype=int))
     if len(j2) < config.min_leaf:
@@ -177,14 +246,15 @@ def reference_grow_tree(dataset, j1, j2, response_kind, config, rng):
     filled = 0
 
     def new_node():
+        nid = len(feature)
         feature.append(-1)
         threshold.append(math.nan)
-        left.append(-1)
-        right.append(-1)
+        left.append(nid)
+        right.append(nid)
         start.append(0)
         count.append(0)
         oversized.append(False)
-        return len(feature) - 1
+        return nid
 
     root = new_node()
     stack = [(root, np.arange(len(j1)), np.arange(len(j2)))]
@@ -206,16 +276,22 @@ def reference_grow_tree(dataset, j1, j2, response_kind, config, rng):
         stack.append((rid, p1[~mask1], p2[~mask2]))
         stack.append((lid, p1[mask1], p2[mask2]))
 
-    return Tree(
+    return Forest(
         feature=np.asarray(feature, dtype=int),
         threshold=np.asarray(threshold, dtype=float),
         left=np.asarray(left, dtype=int),
         right=np.asarray(right, dtype=int),
         start=np.asarray(start, dtype=int),
         count=np.asarray(count, dtype=int),
-        members=np.concatenate(chunks),
-        j1_indices=j1,
         oversized=np.asarray(oversized, dtype=bool),
+        members=np.concatenate(chunks),
+        roots=np.zeros(1, dtype=int),
+        j1=j1[None],
+        config=config,
+        response_kind=response_kind,
+        n=dataset.n,
+        d=dataset.d,
+        dataset_fingerprint=dataset.fingerprint(),
     )
 
 

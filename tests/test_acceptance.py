@@ -19,9 +19,7 @@ from dyncov.data import CsvLayout, write_returns_csv
 from dyncov.forest import (
     ForestConfig,
     ResponseKind,
-    _best_split_on_feature,
     _target_gram,
-    delta_criterion,
     train_forest,
     weight_vector,
 )
@@ -36,7 +34,16 @@ from dyncov.simulation import (
     true_cov,
 )
 from dyncov.thresholding import ThresholdRule, pd_correct, precision, shrink
-from tests.conftest import make_dataset, oracle_weights
+from tests.conftest import (
+    best_split_on_feature,
+    delta_criterion,
+    j2_indices,
+    make_dataset,
+    oracle_weights,
+    to_dense,
+    trees,
+    weight_total,
+)
 
 
 @contextmanager
@@ -152,13 +159,13 @@ def test_criterion_02_weight_oracle():
             ds = make_dataset(n=n, p=p, d=d, seed=1000 + case)
             forest = train_forest(ds, cfg, kind)
             j2_union = set()
-            for tree in forest.trees:
-                assert not set(tree.j1_indices) & set(tree.j2_indices)
-                j2_union |= set(int(i) for i in tree.j2_indices)
+            for tree in trees(forest):
+                assert not set(tree.j1[0]) & set(j2_indices(tree))
+                j2_union |= set(int(i) for i in j2_indices(tree))
             for u in (ds.u[0], rng.uniform(-1, 1, d)):
                 wv = weight_vector(forest, u)
-                np.testing.assert_array_equal(wv.to_dense(), oracle_weights(forest, ds, u))
-                assert abs(wv.total() - 1.0) <= 1e-12
+                np.testing.assert_array_equal(to_dense(wv), oracle_weights(forest, ds, u))
+                assert abs(weight_total(wv) - 1.0) <= 1e-12
                 assert set(int(i) for i in wv.indices) <= j2_union
         elapsed = time.perf_counter() - start
         assert elapsed < 30.0, f"weight oracle took {elapsed:.2f}s"
@@ -199,7 +206,7 @@ def test_criterion_03_gram_equivalence():
             if node % 3 == 0:  # force ties in the split variable
                 v1, v2 = np.round(v1, 1), np.round(v2, 1)
             kind = ResponseKind.SECOND_MOMENT if node % 2 else ResponseKind.MEAN
-            fast = _best_split_on_feature(v1, v2, _target_gram(y, kind), mcj)
+            fast = best_split_on_feature(v1, v2, _target_gram(y, kind), mcj)
             if kind is ResponseKind.SECOND_MOMENT:
                 targets = np.einsum("ij,ik->ijk", y, y).reshape(m1, p * p)
             else:

@@ -361,23 +361,67 @@ class TestSettings:
         (["backtest", "--window", "1"], "--window must be >= 2, got 1"),
     ], ids=["estimate-lag", "backtest-lag", "stride", "window"])
     def test_ranges_checked_before_loading(self, tmp_path, capsys, monkeypatch, argv, message):
+        self._refused_before_loading(tmp_path, capsys, monkeypatch, argv, message)
+
+    def _refused_before_loading(self, tmp_path, capsys, monkeypatch, argv, message):
+        """Run argv, whose flags come last, with loading and tree growth
+        patched out; expect exit 2 with message and no output."""
         panel = tmp_path / "panel.csv"
         _write_panel(panel, T=30, p=2, d=2, seed=5)
         query = tmp_path / "query.csv"
         query.write_text("u1,u2\n0.0,0.0\n")
         out = tmp_path / "out"
+        csv_cols = ["--response-cols", "y1,y2", "--covariate-cols", "u1,u2"]
         inputs = {
-            "estimate": ["--train", str(panel), "--query", str(query), "--out-dir", str(out)],
-            "backtest": ["--panel", str(panel), "--method", "mfdcm:soft", "--out", str(out)],
+            "simulate": ["--p", "2", "--d", "2", "--n", "30", "--reps", "1", "--out", str(out)],
+            "estimate": ["--train", str(panel), "--query", str(query), "--out-dir", str(out),
+                         *csv_cols],
+            "backtest": ["--panel", str(panel), "--method", "mfdcm:soft", "--window", "16",
+                         "--out", str(out), *csv_cols],
         }
-        # Loading data or growing a tree would raise TypeError.
+        # Loading data or growing a tree would raise TypeError, which exits 1.
         monkeypatch.setattr(cli, "load_returns_csv", None)
         monkeypatch.setattr(forest, "grow_tree", None)
-        code = main([*argv, *inputs[argv[0]], "--response-cols", "y1,y2",
-                     "--covariate-cols", "u1,u2", "--trees", "4", "--min-leaf", "2"])
+        code = main([argv[0], *inputs[argv[0]], "--trees", "4", "--min-leaf", "2", *argv[1:]])
         assert code == EXIT_USAGE
         assert message in capsys.readouterr().err
         assert not list(tmp_path.glob("out*"))
+
+    @pytest.mark.parametrize("rule", ["scad:inf", "scad:nan", "alasso:inf", "alasso:nan"])
+    @pytest.mark.parametrize("command, flag, prefix", [
+        ("estimate", "--rule", ""),
+        ("simulate", "--methods", "fdcm:"),
+        ("backtest", "--method", "mfdcm:"),
+    ], ids=["estimate", "simulate", "backtest"])
+    def test_non_finite_rule_parameter(self, tmp_path, capsys, monkeypatch, command, flag,
+                                       prefix, rule):
+        kind = rule.split(":")[0]
+        self._refused_before_loading(tmp_path, capsys, monkeypatch,
+                                     [command, flag, prefix + rule], f"{kind} requires a finite")
+
+    @pytest.mark.parametrize("key, value", [("subsample", "-3"), ("mtry", "-1")])
+    def test_negative_forest_size_setting(self, tmp_path, capsys, monkeypatch, key, value):
+        message = f"--{key} must be >= 0, got {value}"
+        self._refused_before_loading(tmp_path, capsys, monkeypatch,
+                                     ["simulate", f"--{key}", value], message)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}={value}\n")
+        self._refused_before_loading(tmp_path, capsys, monkeypatch,
+                                     ["simulate", "--config", str(cfg)],
+                                     f"{cfg}:1: {key} must be >= 0, got {value}")
+
+    @pytest.mark.parametrize("command", ["estimate", "backtest"])
+    @pytest.mark.parametrize("flags, column", [
+        (["--response-cols", "y1,y1"], "y1"),
+        (["--covariate-cols", "u1,y1"], "y1"),
+        (["--date-col", "y1"], "y1"),
+        (["--covariate-cols", "u2,u2"], "u2"),
+    ], ids=["repeated-response", "covariate-is-response", "date-is-response",
+            "repeated-covariate"])
+    def test_layout_column_named_twice(self, tmp_path, capsys, monkeypatch, command, flags,
+                                       column):
+        self._refused_before_loading(tmp_path, capsys, monkeypatch, [command, *flags],
+                                     f"layout names column {column!r} more than once")
 
     def _small_run(self, tmp_path, command):
         """(argv, artifacts) of a small run; the first artifact holds the config header."""

@@ -10,7 +10,7 @@ from dyncov.covariance import (
 )
 from dyncov.data import Dataset
 from dyncov.forest import ForestConfig, ResponseKind, train_forest
-from tests.conftest import make_dataset, oracle_weights
+from tests.conftest import j2_indices, make_dataset, oracle_weights, to_dense, tree_view
 
 UNIFORM_CFG = ForestConfig(n_trees=1, subsample_size=4, min_leaf=2, mtry=1, seed=0)
 
@@ -27,8 +27,7 @@ class TestCondMean:
         ds = _uniform_leaf_setup()
         forest = train_forest(ds, UNIFORM_CFG, ResponseKind.MEAN)
         # One leaf with two J2 members: plain average of their responses.
-        tree = forest.trees[0]
-        j2 = tree.j2_indices
+        j2 = j2_indices(tree_view(forest, 0))
         expected = ds.y[j2].mean(axis=0)
         np.testing.assert_allclose(cond_mean(forest, ds, np.array([0.5])), expected)
 
@@ -89,8 +88,8 @@ class TestRawCov:
         # subsample stream per kind, so just check Eq. by hand from weights.
         from dyncov.forest import weight_vector
 
-        a = weight_vector(mean_f, np.array([0.5])).to_dense()
-        b = weight_vector(sm_f, np.array([0.5])).to_dense()
+        a = to_dense(weight_vector(mean_f, np.array([0.5])))
+        b = to_dense(weight_vector(sm_f, np.array([0.5])))
         expected = (b * ds.y[:, 0] ** 2).sum() - (a * ds.y[:, 0]).sum() ** 2
         np.testing.assert_allclose(est, [[expected]])
 

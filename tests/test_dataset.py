@@ -126,6 +126,15 @@ class TestCsvLoading:
         with pytest.raises(ValueError):
             CsvLayout(response_cols=(), covariate_cols=("u1",))
 
+    @pytest.mark.parametrize("columns", [
+        dict(response_cols=("y1", "y1"), covariate_cols=("u1",)),
+        dict(response_cols=("y1",), covariate_cols=("u1", "y1")),
+        dict(response_cols=("y1",), covariate_cols=("u1",), date_col="u1"),
+    ], ids=["response", "covariate", "date"])
+    def test_column_named_twice_rejected(self, columns):
+        with pytest.raises(ValueError, match="more than once"):
+            CsvLayout(**columns)
+
     def test_round_trip_bit_exact(self, tmp_path):
         gen = np.random.default_rng(3)
         ds = Dataset(gen.standard_normal((7, 3)), gen.uniform(-1, 1, (7, 2)), dates=tuple("abcdefg"))

@@ -11,9 +11,7 @@ from dyncov.forest import (
     Forest,
     ForestConfig,
     ResponseKind,
-    Tree,
     best_split,
-    delta_criterion,
     grow_tree,
     split_sample,
     subsample,
@@ -22,13 +20,20 @@ from dyncov.forest import (
     _target_gram,
 )
 from tests.conftest import (
+    delta_criterion,
+    j2_indices,
+    leaf_members,
     loop_weights,
     make_dataset,
     oracle_weights,
     reference_forest,
     route_independent,
     same_forest,
+    to_dense,
+    tree_view,
+    trees,
     vec_outer,
+    weight_total,
 )
 
 
@@ -235,7 +240,7 @@ def _traverse_leaves(tree):
 
 def _j2_count_below(tree, nid):
     if tree.feature[nid] < 0:
-        return len(tree.leaf_members(nid))
+        return len(leaf_members(tree, nid))
     return _j2_count_below(tree, int(tree.left[nid])) + _j2_count_below(tree, int(tree.right[nid]))
 
 
@@ -247,7 +252,7 @@ class TestGrowTree:
                          cfg, np.random.default_rng(0))
         # |J2| = 5 = k: no feasible split, all of J2 in the root leaf.
         assert tree.feature[0] == -1
-        np.testing.assert_array_equal(np.sort(tree.leaf_members(0)), np.arange(5, 10))
+        np.testing.assert_array_equal(np.sort(leaf_members(tree, 0)), np.arange(5, 10))
 
     def test_separable_depth_one(self):
         u = np.concatenate([np.linspace(0.0, 0.2, 8), np.linspace(0.8, 1.0, 8)])[:, None]
@@ -276,7 +281,21 @@ class TestGrowTree:
         np.testing.assert_array_equal(t1.feature, t2.feature)
         np.testing.assert_array_equal(t1.threshold, t2.threshold)
         for nid in range(len(t1.feature)):
-            np.testing.assert_array_equal(t1.leaf_members(nid), t2.leaf_members(nid))
+            np.testing.assert_array_equal(leaf_members(t1, nid), leaf_members(t2, nid))
+
+    def test_returns_one_tree_forest(self):
+        ds = make_dataset(n=24, p=2, d=2, seed=2)
+        cfg = ForestConfig(n_trees=7, subsample_size=24, min_leaf=2, mtry=2, seed=0)
+        j1, j2 = np.arange(0, 24, 2), np.arange(1, 24, 2)
+        tree = grow_tree(ds, j1, j2, ResponseKind.MEAN, cfg, np.random.default_rng(0))
+        assert isinstance(tree, Forest) and tree.n_trees == 1
+        np.testing.assert_array_equal(tree.roots, [0])
+        np.testing.assert_array_equal(tree.j1, j1[None])
+        leaf = tree.feature < 0
+        np.testing.assert_array_equal(tree.left[leaf], np.flatnonzero(leaf))
+        np.testing.assert_array_equal(tree.right[leaf], np.flatnonzero(leaf))
+        assert (tree.config, tree.n, tree.d) == (cfg, ds.n, ds.d)
+        assert tree.dataset_fingerprint == ds.fingerprint()
 
     def test_j2_too_small(self):
         ds = make_dataset(n=6, p=1, d=1, seed=0)
@@ -290,13 +309,13 @@ class TestGrowTree:
         cfg = ForestConfig(n_trees=20, subsample_size=60, min_leaf=3,
                            regularity=0.1, mtry=2, seed=11)
         forest = train_forest(ds, cfg, ResponseKind.SECOND_MOMENT)
-        for tree in forest.trees:
+        for tree in trees(forest):
             k = cfg.min_leaf
-            assert set(tree.j1_indices) & set(tree.j2_indices) == set()
-            assert len(tree.j1_indices) + len(tree.j2_indices) == cfg.subsample_size
+            assert set(tree.j1[0]) & set(j2_indices(tree)) == set()
+            assert len(tree.j1[0]) + len(j2_indices(tree)) == cfg.subsample_size
             # Leaf size bounds.
             for nid, _ in _traverse_leaves(tree):
-                size = len(tree.leaf_members(nid))
+                size = len(leaf_members(tree, nid))
                 if tree.oversized[nid]:
                     assert size > 2 * k - 1
                 else:
@@ -309,9 +328,9 @@ class TestGrowTree:
                 for child in (int(tree.left[nid]), int(tree.right[nid])):
                     assert _j2_count_below(tree, child) >= math.ceil(cfg.regularity * parent)
             # Every J2 sample routes to the leaf that lists it.
-            for i in tree.j2_indices:
+            for i in j2_indices(tree):
                 leaf = route_independent(tree, ds.u[i])
-                assert int(i) in tree.leaf_members(leaf).tolist()
+                assert int(i) in leaf_members(tree, leaf).tolist()
 
 
 class TestTrainForest:
@@ -348,36 +367,73 @@ class TestTrainForest:
             train_forest(ds, ForestConfig(mtry=3), ResponseKind.MEAN)
 
 
-def _manual_forest(n, d, trees):
-    cfg = ForestConfig(n_trees=len(trees), subsample_size=max(2, n // 2), min_leaf=1, mtry=1, seed=0)
-    return Forest.from_trees(trees, cfg, ResponseKind.MEAN, n, d, "manual")
+class TestConcat:
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        n=st.integers(8, 60),
+        d=st.integers(1, 3),
+        B=st.integers(1, 8),
+        min_leaf=st.integers(1, 4),
+        seed=st.integers(0, 2**16),
+        kind=st.sampled_from(list(ResponseKind)),
+    )
+    def test_round_trip_and_one_tree_weights(self, n, d, B, min_leaf, seed, kind):
+        n = max(n, 4 * min_leaf)  # |J2| = floor(ceil(n/2)/2) must reach min_leaf
+        ds = make_dataset(n=n, p=2, d=d, seed=seed)
+        ds = Dataset(ds.y, np.round(ds.u, 1))
+        forest = train_forest(ds, ForestConfig(n_trees=B, min_leaf=min_leaf, mtry=d, seed=seed), kind)
+        assert same_forest(Forest.concat(trees(forest)), forest)
+        points = _query_points(forest, ds, np.random.default_rng(seed))
+        for tree in trees(forest):
+            for u in points:
+                assert to_dense(weight_vector(tree, u)).tobytes() == loop_weights(tree, u).tobytes()
+
+    def test_metadata_must_agree(self):
+        ds = make_dataset(n=20, p=1, d=2, seed=0)
+        cfg = ForestConfig(n_trees=2, min_leaf=2, seed=0)
+        a = train_forest(ds, cfg, ResponseKind.MEAN)
+        b = train_forest(ds, cfg, ResponseKind.SECOND_MOMENT)
+        with pytest.raises(ValueError, match="different metadata"):
+            Forest.concat([a, b])
 
 
-def _leaf_tree(members):
-    return Tree(
+def _manual_forest(n, d, leaves):
+    """One single-leaf tree per member list, joined by ``Forest.concat``."""
+    cfg = ForestConfig(n_trees=len(leaves), subsample_size=max(2, n // 2), min_leaf=1, mtry=1, seed=0)
+    return Forest.concat([_leaf_tree(members, cfg, n, d) for members in leaves])
+
+
+def _leaf_tree(members, cfg, n, d):
+    return Forest(
         feature=np.array([-1]),
         threshold=np.array([math.nan]),
-        left=np.array([-1]),
-        right=np.array([-1]),
+        left=np.array([0]),
+        right=np.array([0]),
         start=np.array([0]),
         count=np.array([len(members)]),
-        members=np.asarray(members, dtype=int),
-        j1_indices=np.array([], dtype=int),
         oversized=np.array([True]),
+        members=np.asarray(members, dtype=int),
+        roots=np.array([0]),
+        j1=np.empty((1, 0), dtype=int),
+        config=cfg,
+        response_kind=ResponseKind.MEAN,
+        n=n,
+        d=d,
+        dataset_fingerprint="manual",
     )
 
 
 class TestWeightVector:
     def test_single_tree_single_leaf(self):
-        forest = _manual_forest(10, 1, [_leaf_tree([3, 7])])
-        w = weight_vector(forest, np.array([0.5])).to_dense()
+        forest = _manual_forest(10, 1, [[3, 7]])
+        w = to_dense(weight_vector(forest, np.array([0.5])))
         expected = np.zeros(10)
         expected[[3, 7]] = 0.5
         np.testing.assert_array_equal(w, expected)
 
     def test_two_tree_average(self):
-        forest = _manual_forest(10, 1, [_leaf_tree([3]), _leaf_tree([3, 7])])
-        w = weight_vector(forest, np.array([0.5])).to_dense()
+        forest = _manual_forest(10, 1, [[3], [3, 7]])
+        w = to_dense(weight_vector(forest, np.array([0.5])))
         assert w[3] == 0.75
         assert w[7] == 0.25
         assert w.sum() == 1.0
@@ -389,7 +445,7 @@ class TestWeightVector:
         rng = np.random.default_rng(0)
         for _ in range(10):
             w = weight_vector(forest, rng.uniform(-1, 1, 2))
-            assert abs(w.total() - 1.0) < 1e-12
+            assert abs(weight_total(w) - 1.0) < 1e-12
             assert np.all(w.values > 0)
 
     def test_honesty_support(self):
@@ -397,8 +453,8 @@ class TestWeightVector:
         cfg = ForestConfig(n_trees=10, min_leaf=2, seed=3)
         forest = train_forest(ds, cfg, ResponseKind.MEAN)
         j2_union = set()
-        for tree in forest.trees:
-            j2_union |= set(tree.j2_indices.tolist())
+        for tree in trees(forest):
+            j2_union |= set(j2_indices(tree).tolist())
         rng = np.random.default_rng(1)
         for _ in range(5):
             w = weight_vector(forest, rng.uniform(-1, 1, 2))
@@ -426,7 +482,7 @@ class TestWeightVector:
             forest = train_forest(ds, cfg, kind)
             for _ in range(3):
                 u = rng.uniform(-1, 1, d)
-                got = weight_vector(forest, u).to_dense()
+                got = to_dense(weight_vector(forest, u))
                 np.testing.assert_array_equal(got, oracle_weights(forest, ds, u))
 
 
@@ -461,7 +517,7 @@ class TestFlatRouter:
         cfg = ForestConfig(n_trees=B, min_leaf=min_leaf, mtry=d, seed=seed)
         forest = train_forest(ds, cfg, ResponseKind(kind))
         for u in _query_points(forest, ds, np.random.default_rng(seed)):
-            got = weight_vector(forest, u).to_dense()
+            got = to_dense(weight_vector(forest, u))
             np.testing.assert_array_equal(got, oracle_weights(forest, ds, u))
             assert got.tobytes() == loop_weights(forest, u).tobytes()
 
@@ -472,9 +528,9 @@ class TestFlatRouter:
         cfg = ForestConfig(n_trees=1, subsample_size=16, min_leaf=4, mtry=1,
                            random_split_prob=1e-12, seed=0)
         forest = train_forest(ds, cfg, ResponseKind.MEAN)
-        tree = forest.tree(0)
+        tree = tree_view(forest, 0)
         w = weight_vector(forest, tree.threshold[:1])
-        np.testing.assert_array_equal(w.indices, np.sort(tree.leaf_members(tree.left[0])))
+        np.testing.assert_array_equal(w.indices, np.sort(leaf_members(tree, tree.left[0])))
 
     def test_layout_is_flat(self):
         ds = make_dataset(n=40, p=2, d=2, seed=1)
@@ -489,7 +545,7 @@ class TestFlatRouter:
         assert (forest.count[~leaf] == 0).all() and (forest.count[leaf] >= 2).all()
         assert forest.count.sum() == len(forest.members)
         # Tree views share the forest's memory rather than copying it.
-        tree = forest.tree(2)
+        tree = tree_view(forest, 2)
         assert np.shares_memory(tree.feature, forest.feature)
         assert np.shares_memory(tree.members, forest.members)
 

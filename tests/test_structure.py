@@ -42,3 +42,37 @@ def test_rule_catches_private_names_but_not_private_modules(tmp_path):
         "_shrink_offdiag from thresholding",
         "_grow_one from dyncov.forest",
     ]
+
+
+NODE_ARRAYS = {"feature", "threshold", "left", "right", "members", "roots", "j1", "oversized"}
+
+
+def _node_array_reads(path: Path) -> list[str]:
+    """``x.<name>`` attribute accesses where name is one of a forest's node arrays."""
+    return [
+        f"{path.name}:{node.lineno} reads .{node.attr}"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in NODE_ARRAYS
+    ]
+
+
+def test_only_forest_module_reads_node_arrays():
+    found = [
+        hit
+        for path in sorted(PKG.glob("*.py"))
+        if path.name != "forest.py"
+        for hit in _node_array_reads(path)
+    ]
+    assert found == []
+
+
+def test_rule_catches_node_array_reads(tmp_path):
+    src = tmp_path / "probe.py"
+    src.write_text(
+        "def depth(forest, node):\n"
+        "    n = forest.n_trees + forest.config.min_leaf\n"
+        "    return forest.left[node], forest.j1.shape, len(forest.members)\n"
+    )
+    assert [hit.split(" reads ")[1] for hit in _node_array_reads(src)] == [
+        ".left", ".j1", ".members"
+    ]

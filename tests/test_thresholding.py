@@ -46,6 +46,11 @@ class TestRuleParsing:
         with pytest.raises(ValueError):
             ThresholdRule.parse("soft:1")
 
+    @pytest.mark.parametrize("text", ["scad:inf", "scad:nan", "alasso:inf", "alasso:nan"])
+    def test_non_finite_parameter_rejected(self, text):
+        with pytest.raises(ValueError, match="requires a finite"):
+            ThresholdRule.parse(text)
+
 
 class TestShrinkExamples:
     def test_soft_below_lambda(self):
