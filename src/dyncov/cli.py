@@ -1,7 +1,9 @@
 """Command-line interface: `simulate`, `estimate` and `backtest` subcommands.
 
 Each subcommand's settings are declared once, in a table of `Setting` rows
-that yields its flags and config-file keys, their types and their checks.
+that yields its flags and config-file keys, their types and their checks;
+the forest settings pass ``ForestConfig``'s data-free rules there, so every
+subcommand and method refuses them before any data is loaded.
 Precedence is CLI > config file > defaults; a bad config line is a usage
 error naming ``FILE:LINE``.  Every artifact embeds the effective settings,
 and all randomness flows from the single --seed through named substreams, so
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -32,7 +35,11 @@ class UsageError(ValueError):
 
 
 class Setting(NamedTuple):
-    """Flag ``--key`` and config key ``key``; a default of None makes it required."""
+    """Flag ``--key`` and config key ``key``; a default of None makes it required.
+
+    ``forest_field`` names the `ForestConfig` field the value sets, whose
+    data-free rules (``ForestConfig.check``) it must pass wherever it is given.
+    """
 
     key: str
     type: type
@@ -40,16 +47,17 @@ class Setting(NamedTuple):
     help: str | None = None
     choices: tuple | None = None
     minimum: int | None = None
+    forest_field: str | None = None
 
 
 _COMMON = (
     Setting("seed", int, 0),
     Setting("workers", int, 1, "has no effect: training is serial", minimum=1),
-    Setting("trees", int, 500),
+    Setting("trees", int, 500, forest_field="n_trees"),
     Setting("subsample", int, 0, "0 means ceil(n/2)", minimum=0),
-    Setting("min-leaf", int, 5),
-    Setting("omega", float, 0.05),
-    Setting("random-split-prob", float, 0.05),
+    Setting("min-leaf", int, 5, forest_field="min_leaf"),
+    Setting("omega", float, 0.05, forest_field="regularity"),
+    Setting("random-split-prob", float, 0.05, forest_field="random_split_prob"),
     Setting("mtry", int, 0, "0 means ceil(sqrt(d))", minimum=0),
     Setting("folds", int, 5, minimum=2),
     Setting("grid-size", int, 20, minimum=0),
@@ -97,6 +105,11 @@ def _check(setting: Setting, value, where: str):
         raise UsageError(f"{where} must be one of {setting.choices}, got {value!r}")
     if setting.minimum is not None and value < setting.minimum:
         raise UsageError(f"{where} must be >= {setting.minimum}, got {value}")
+    if setting.forest_field is not None:
+        try:
+            replace(ForestConfig(), **{setting.forest_field: value}).check()
+        except ValueError as exc:
+            raise UsageError(f"{where}: {exc}") from None
     return value
 
 

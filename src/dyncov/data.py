@@ -107,12 +107,17 @@ class CsvLayout:
             raise ValueError(f"layout names column {repeated[0]!r} more than once")
 
 
-def _read_numeric_csv(path, text_col: str | None = None) -> tuple[list[str], list[list]]:
-    """Header and data rows of a headered CSV, every cell checked.
+def _read_numeric_csv(path, text_col: str | None = None):
+    """Header, values and text column of a headered CSV, every cell checked.
 
     Each cell is parsed as a finite float, except those of the column named
-    ``text_col``, which are kept as stripped text.  Blank lines are skipped.
-    Errors name the file line (the header is line 1) and the 1-based column.
+    ``text_col``, which are kept aside as stripped text.  Rows stream into a
+    float64 array (N, len(header)) that grows by doubling; the text column's
+    entries in it are 0.0.  A row is converted with ``map(float, ...)`` and
+    checked for finiteness as a whole; only a row that fails is walked cell
+    by cell to name the first bad cell.  Blank lines are skipped.  Errors
+    name the file line (the header is line 1) and the 1-based column.
+    Returns ``(header, values, texts)``, texts None without ``text_col``.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -121,33 +126,50 @@ def _read_numeric_csv(path, text_col: str | None = None) -> tuple[list[str], lis
             raise CsvFormatError(f"{path}: empty file")
         header = [h.strip() for h in header]
         text_pos = _col_pos(path, header, text_col) if text_col is not None else None
-        rows = []
+        texts = [] if text_pos is not None else None
+        values = np.empty((64, len(header)))
+        n = 0
         for raw in reader:
             if not raw:
                 continue
-            line = reader.line_num
             if len(raw) != len(header):
                 raise CsvFormatError(
-                    f"{path}: line {line} has {len(raw)} cells, header has {len(header)}"
+                    f"{path}: line {reader.line_num} has {len(raw)} cells, "
+                    f"header has {len(header)}"
                 )
-            row = []
-            for c, cell in enumerate(raw, start=1):
-                if c - 1 == text_pos:
-                    row.append(cell.strip())
-                    continue
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise CsvFormatError(
-                        f"{path}: non-numeric cell at line {line}, column {c} ({cell!r})"
-                    ) from None
-                if not math.isfinite(value):
-                    raise CsvFormatError(
-                        f"{path}: non-finite cell at line {line}, column {c} ({cell!r})"
-                    )
-                row.append(value)
-            rows.append(row)
-    return header, rows
+            if texts is not None:
+                texts.append(raw[text_pos].strip())
+                raw[text_pos] = "0"
+            if n == len(values):
+                grown = np.empty((2 * n, len(header)))
+                grown[:n] = values
+                values = grown
+            try:
+                values[n] = list(map(float, raw))
+            except ValueError:
+                _bad_cell(path, reader.line_num, raw, text_pos)
+            if not np.isfinite(values[n]).all():
+                _bad_cell(path, reader.line_num, raw, text_pos)
+            n += 1
+    return header, values[:n], texts
+
+
+def _bad_cell(path, line: int, raw: list[str], text_pos: int | None):
+    """Raise the error for the first non-numeric or non-finite cell of a row."""
+    for c, cell in enumerate(raw, start=1):
+        if c - 1 == text_pos:
+            continue
+        try:
+            value = float(cell)
+        except ValueError:
+            raise CsvFormatError(
+                f"{path}: non-numeric cell at line {line}, column {c} ({cell!r})"
+            ) from None
+        if not math.isfinite(value):
+            raise CsvFormatError(
+                f"{path}: non-finite cell at line {line}, column {c} ({cell!r})"
+            )
+    raise AssertionError("row has no bad cell")
 
 
 def _col_pos(path, header: list[str], name: str) -> int:
@@ -161,25 +183,23 @@ def load_returns_csv(path, layout: CsvLayout) -> Dataset:
     """Load a Dataset from a headered CSV per the layout descriptor.
 
     Rows keep file order.  Every cell but the date column must be a finite
-    number; errors name the file line and column.
+    number; errors name the file line and column.  The file is streamed into
+    one float64 array, from which y and u are gathered.
     """
-    header, rows = _read_numeric_csv(path, layout.date_col)
+    header, values, texts = _read_numeric_csv(path, layout.date_col)
     y_pos = [_col_pos(path, header, c) for c in layout.response_cols]
     u_pos = [_col_pos(path, header, c) for c in layout.covariate_cols]
-    d_pos = _col_pos(path, header, layout.date_col) if layout.date_col is not None else None
 
     lag = layout.lag
-    if len(rows) <= lag:
+    if len(values) <= lag:
         raise CsvFormatError(
-            f"{path}: {len(rows)} data rows cannot support lag={lag}"
+            f"{path}: {len(values)} data rows cannot support lag={lag}"
         )
-    n = len(rows) - lag
-    y = np.array([[rows[t + lag][c] for c in y_pos] for t in range(n)], dtype=float)
-    u = np.array([[rows[t][c] for c in u_pos] for t in range(n)], dtype=float)
-    dates = None
-    if d_pos is not None:
-        # Date of the response row labels the paired observation.
-        dates = tuple(str(rows[t + lag][d_pos]) for t in range(n))
+    n = len(values) - lag
+    y = values[lag:].take(y_pos, axis=1)
+    u = values[:n].take(u_pos, axis=1)
+    # Date of the response row labels the paired observation.
+    dates = tuple(texts[lag:]) if texts is not None else None
     return Dataset(y, u, dates)
 
 
@@ -189,10 +209,10 @@ def load_query_csv(path) -> np.ndarray:
     Every row must have as many cells as the header and every cell must be a
     finite number.  Errors name the file line and column.
     """
-    _, rows = _read_numeric_csv(path)
-    if not rows:
+    _, values, _ = _read_numeric_csv(path)
+    if not len(values):
         raise CsvFormatError(f"{path}: no query rows")
-    return np.array(rows, dtype=float)
+    return values.copy()
 
 
 def write_returns_csv(path, dataset: Dataset, layout: CsvLayout) -> None:

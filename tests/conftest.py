@@ -1,15 +1,32 @@
 """Shared helpers for the test suite."""
 
+import csv
 import dataclasses
 import math
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 
 from dyncov import forest as forest_module
-from dyncov.data import Dataset
+from dyncov.data import CsvFormatError, Dataset, _col_pos
 from dyncov.forest import Forest, _scan, _target_gram
+
+
+def pytest_collection_modifyitems(items):
+    """Fail a test of this suite that leaves a file unclosed.
+
+    The filters are marks on this directory's tests, not pyproject settings,
+    because they would also apply to the benchmark's own tests.
+    """
+    here = Path(__file__).parent
+    for item in items:
+        if here in item.path.parents:
+            item.add_marker(pytest.mark.filterwarnings("error::ResourceWarning"))
+            item.add_marker(
+                pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
+            )
 
 
 @pytest.fixture
@@ -299,3 +316,79 @@ def reference_forest(dataset, config, response_kind):
     """``train_forest`` with every tree grown by ``reference_grow_tree``."""
     with mock.patch.object(forest_module, "grow_tree", reference_grow_tree):
         return forest_module.train_forest(dataset, config, response_kind)
+
+
+def reference_read_numeric_csv(path, text_col=None):
+    """The cell-by-cell CSV reader that preceded the streamed one.
+
+    Kept, with ``reference_load_returns_csv`` and ``reference_load_query_csv``,
+    as the reference for accepted input, values and error messages: every
+    cell becomes a Python float, or stripped text in ``text_col``.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise CsvFormatError(f"{path}: empty file")
+        header = [h.strip() for h in header]
+        text_pos = _col_pos(path, header, text_col) if text_col is not None else None
+        rows = []
+        for raw in reader:
+            if not raw:
+                continue
+            line = reader.line_num
+            if len(raw) != len(header):
+                raise CsvFormatError(
+                    f"{path}: line {line} has {len(raw)} cells, header has {len(header)}"
+                )
+            row = []
+            for c, cell in enumerate(raw, start=1):
+                if c - 1 == text_pos:
+                    row.append(cell.strip())
+                    continue
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise CsvFormatError(
+                        f"{path}: non-numeric cell at line {line}, column {c} ({cell!r})"
+                    ) from None
+                if not math.isfinite(value):
+                    raise CsvFormatError(
+                        f"{path}: non-finite cell at line {line}, column {c} ({cell!r})"
+                    )
+                row.append(value)
+            rows.append(row)
+    return header, rows
+
+
+def reference_load_returns_csv(path, layout):
+    header, rows = reference_read_numeric_csv(path, layout.date_col)
+    y_pos = [_col_pos(path, header, c) for c in layout.response_cols]
+    u_pos = [_col_pos(path, header, c) for c in layout.covariate_cols]
+    d_pos = _col_pos(path, header, layout.date_col) if layout.date_col is not None else None
+    lag = layout.lag
+    if len(rows) <= lag:
+        raise CsvFormatError(f"{path}: {len(rows)} data rows cannot support lag={lag}")
+    n = len(rows) - lag
+    y = np.array([[rows[t + lag][c] for c in y_pos] for t in range(n)], dtype=float)
+    u = np.array([[rows[t][c] for c in u_pos] for t in range(n)], dtype=float)
+    dates = None
+    if d_pos is not None:
+        dates = tuple(str(rows[t + lag][d_pos]) for t in range(n))
+    return Dataset(y, u, dates)
+
+
+def reference_load_query_csv(path):
+    _, rows = reference_read_numeric_csv(path)
+    if not rows:
+        raise CsvFormatError(f"{path}: no query rows")
+    return np.array(rows, dtype=float)
+
+
+def reference_write_matrix_csv(path, matrix, header_lines=None):
+    """The per-entry matrix writer: ``repr`` of every entry in turn."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for line in header_lines or []:
+            fh.write(f"# {line}\n")
+        for row in np.asarray(matrix, dtype=float):
+            fh.write(",".join(map(repr, row.tolist())) + "\n")

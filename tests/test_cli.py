@@ -410,6 +410,34 @@ class TestSettings:
                                      ["simulate", "--config", str(cfg)],
                                      f"{cfg}:1: {key} must be >= 0, got {value}")
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("trees", "-5", "n_trees must be >= 1, got -5"),
+        ("trees", "0", "n_trees must be >= 1, got 0"),
+        ("min-leaf", "-2", "min_leaf must be >= 1, got -2"),
+        ("omega", "nan", "regularity must be finite and lie in (0, 0.2], got nan"),
+        ("omega", "inf", "regularity must be finite and lie in (0, 0.2], got inf"),
+        ("omega", "0.3", "regularity must be finite and lie in (0, 0.2], got 0.3"),
+        ("random-split-prob", "inf", "random_split_prob must be finite and lie in (0, 1], got inf"),
+        ("random-split-prob", "nan", "random_split_prob must be finite and lie in (0, 1], got nan"),
+        ("random-split-prob", "0", "random_split_prob must be finite and lie in (0, 1], got 0.0"),
+    ], ids=["trees-negative", "trees-zero", "min-leaf-negative", "omega-nan", "omega-inf",
+            "omega-above-range", "random-split-prob-inf", "random-split-prob-nan",
+            "random-split-prob-zero"])
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--methods", "static:soft"],
+        ["estimate", "--stage", "raw"],
+        ["backtest", "--method", "static:soft"],
+    ], ids=["simulate-static", "estimate-raw", "backtest-static"])
+    def test_forest_rule_checked_for_every_method(self, tmp_path, capsys, monkeypatch, command,
+                                                  key, value, message):
+        # No forest is grown by these methods, but the settings are still refused.
+        self._refused_before_loading(tmp_path, capsys, monkeypatch,
+                                     [*command, f"--{key}", value], f"--{key}: {message}")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# forest\n{key}={value}\n")
+        self._refused_before_loading(tmp_path, capsys, monkeypatch,
+                                     [*command, "--config", str(cfg)], f"{cfg}:2: {key}: {message}")
+
     @pytest.mark.parametrize("command", ["estimate", "backtest"])
     @pytest.mark.parametrize("flags, column", [
         (["--response-cols", "y1,y1"], "y1"),

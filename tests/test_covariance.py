@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dyncov.covariance import (
     cond_mean,
@@ -10,7 +13,14 @@ from dyncov.covariance import (
 )
 from dyncov.data import Dataset
 from dyncov.forest import ForestConfig, ResponseKind, train_forest
-from tests.conftest import j2_indices, make_dataset, oracle_weights, to_dense, tree_view
+from tests.conftest import (
+    j2_indices,
+    make_dataset,
+    oracle_weights,
+    reference_write_matrix_csv,
+    to_dense,
+    tree_view,
+)
 
 UNIFORM_CFG = ForestConfig(n_trees=1, subsample_size=4, min_leaf=2, mtry=1, seed=0)
 
@@ -156,3 +166,44 @@ class TestMatrixCsv:
         assert path.read_text().splitlines()[:2] == ["# seed=0", "# note"]
         back = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
         assert back.tobytes() == m.tobytes()
+
+    @staticmethod
+    def _same_as_per_entry_writer(tmp_path, m):
+        header = ["seed=0", "point=3"]
+        write_matrix_csv(tmp_path / "new.csv", m, header)
+        reference_write_matrix_csv(tmp_path / "ref.csv", m, header)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("name", [
+        "repeated", "thresholded", "signed-zeros", "subnormals", "repr-boundaries",
+        "non-symmetric", "empty",
+    ])
+    def test_matches_per_entry_writer(self, tmp_path, name):
+        gen = np.random.default_rng(4)
+        a = gen.standard_normal((6, 6))
+        sym = (a + a.T) / 2
+        m = {
+            "repeated": np.round(sym, 1),
+            "thresholded": np.where(np.abs(sym) > 1.0, sym, 0.0),
+            "signed-zeros": np.array([[0.0, -0.0, 0.0], [-0.0, 0.0, -0.0], [0.0, -0.0, -0.0]]),
+            "subnormals": np.array([[5e-324, -5e-324], [2.2250738585072009e-308, 1e-310]]),
+            # repr switches to exponent notation below 1e-4 and from 1e16 on.
+            "repr-boundaries": np.array([
+                [1e16, np.nextafter(1e16, 0), -1e16, 1e-5],
+                [np.nextafter(1e-4, 0), 1e-4, 1e-05, np.nextafter(1e-5, 1)],
+            ]),
+            "non-symmetric": a[:4],
+            "empty": np.zeros((0, 0)),
+        }[name]
+        self._same_as_per_entry_writer(tmp_path, m)
+
+    def test_rejects_non_matrix(self, tmp_path):
+        with pytest.raises(ValueError, match="2-d"):
+            write_matrix_csv(tmp_path / "v.csv", np.array([1.5, 2.0]))
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(m=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=5),
+                        elements=st.floats(width=64)))
+    def test_matches_per_entry_writer_on_any_floats(self, tmp_path, m):
+        self._same_as_per_entry_writer(tmp_path, m)

@@ -1,16 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dyncov.data import (
     CsvFormatError,
     CsvLayout,
     Dataset,
+    load_query_csv,
     load_returns_csv,
     write_returns_csv,
 )
-from tests.conftest import vec_outer
+from tests.conftest import reference_load_query_csv, reference_load_returns_csv, vec_outer
 
 
 class TestVecOuter:
@@ -149,3 +152,91 @@ class TestCsvLoading:
         np.testing.assert_array_equal(back.y, ds.y)
         np.testing.assert_array_equal(back.u, ds.u)
         assert back.dates == ds.dates
+
+
+GOOD_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from([" 1.5 ", "1_0", "-0.0", "+3", "5e-324", "1e308", '"2.5"', '" 7 "']),
+)
+BAD_CELLS = st.sampled_from(
+    ["nan", "-inf", "inf", "Infinity", "1e309", "abc", "", "--1", '"1,5"', "0x1"]
+)
+DATE_CELLS = st.sampled_from(["2020-01-02", " d ", "", "nan", '"a,b"', '"x\ny"'])
+
+
+@st.composite
+def csv_inputs(draw):
+    """(CSV text, layout): numeric columns, an optional date column first, in the
+    middle or last, blank lines, quoted cells, and now and then a ragged row or a
+    bad cell."""
+    k = draw(st.integers(2, 4))
+    names = [f"c{j}" for j in range(k)]
+    date_at = draw(st.sampled_from([None, 0, 1, k]))
+    header = list(names)
+    if date_at is not None:
+        header.insert(date_at, "date")
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 4)) == 0:
+            lines.append("")
+        cells = [draw(DATE_CELLS) if h == "date" else draw(GOOD_CELLS) for h in header]
+        fault = draw(st.sampled_from([None] * 8 + ["bad", "ragged"]))
+        if fault == "bad":
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(BAD_CELLS)
+        elif fault == "ragged":
+            cells = cells[:-1] if draw(st.booleans()) else cells + ["1"]
+        lines.append(",".join(cells))
+    order = draw(st.permutations(names))
+    r = draw(st.integers(1, k - 1))
+    layout = CsvLayout(
+        response_cols=tuple(order[:r]),
+        covariate_cols=tuple(order[r:]),
+        date_col="date" if date_at is not None else None,
+        lag=draw(st.integers(0, 3)),
+    )
+    return "\n".join(lines) + "\n", layout
+
+
+def _outcome(load, *args):
+    """The loaded arrays' bytes and shapes plus the dates, or the error text."""
+    try:
+        out = load(*args)
+    except CsvFormatError as exc:
+        return "error", str(exc)
+    arrays = [out.y, out.u] if isinstance(out, Dataset) else [out]
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays], getattr(out, "dates", None)
+
+
+class TestStreamedLoader:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=csv_inputs())
+    def test_matches_cell_by_cell_reader(self, tmp_path, case):
+        text, layout = case
+        path = tmp_path / "t.csv"
+        path.write_text(text, encoding="utf-8")
+        assert _outcome(load_returns_csv, path, layout) == _outcome(
+            reference_load_returns_csv, path, layout
+        )
+        assert _outcome(load_query_csv, path) == _outcome(reference_load_query_csv, path)
+
+    def test_peak_memory_near_returned_arrays(self, tmp_path):
+        # A Python float per cell would cost over 4x the returned arrays.
+        gen = np.random.default_rng(0)
+        n, p, d = 2000, 200, 5
+        layout = CsvLayout(
+            response_cols=tuple(f"y{j + 1}" for j in range(p)),
+            covariate_cols=tuple(f"u{j + 1}" for j in range(d)),
+        )
+        path = tmp_path / "wide.csv"
+        write_returns_csv(path, Dataset(gen.standard_normal((n, p)), gen.uniform(-1, 1, (n, d))),
+                          layout)
+        tracemalloc.start()
+        try:
+            ds = load_returns_csv(path, layout)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (ds.n, ds.p, ds.d) == (n, p, d)
+        assert peak < 2.5 * (ds.y.nbytes + ds.u.nbytes)

@@ -17,7 +17,9 @@ from dyncov.forest import (
     subsample,
     train_forest,
     weight_vector,
+    _scan,
     _target_gram,
+    _workspace,
 )
 from tests.conftest import (
     delta_criterion,
@@ -222,6 +224,44 @@ class TestSplitSearchIdentity:
         cfg = ForestConfig(n_trees=3, min_leaf=min_leaf, random_split_prob=random_split_prob,
                            mtry=min(mtry, d), seed=seed)
         assert same_forest(train_forest(ds, cfg, kind), reference_forest(ds, cfg, kind))
+
+
+class TestScanWorkspace:
+    """A workspace left dirty by a larger block changes no scan result."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        size=st.integers(2, 24),
+        n_features=st.integers(1, 4),
+        root=st.booleans(),
+        min_child_j2=st.integers(1, 3),
+        kind=st.sampled_from(list(ResponseKind)),
+        seed=st.integers(0, 2**16),
+    )
+    def test_dirty_workspace_matches_fresh(self, size, n_features, root, min_child_j2, kind,
+                                           seed):
+        gen = np.random.default_rng(seed)
+        gram = _target_gram(gen.standard_normal((size, 3)), kind)
+        workspace = _workspace(size)
+        for buf in workspace:
+            buf.fill(np.nan)
+        # The root block (m1 = |J1|) fills both buffers; a node's block then
+        # reuses their first entries.
+        root_args = (gen.uniform(-1, 1, (n_features, size)), gen.uniform(-1, 1, (n_features, 8)),
+                     gram, gen.permutation(size), 1)
+        assert _scan(*root_args, workspace) == _scan(*root_args)
+        m1 = size if root else int(gen.integers(2, size + 1))
+        rows = gen.permutation(size)[:m1]
+        v1 = np.round(gen.uniform(-1, 1, (n_features, m1)), 1)
+        v2 = np.round(gen.uniform(-1, 1, (n_features, int(gen.integers(2, 12)))), 1)
+        args = (v1, v2, gram, rows, min_child_j2)
+        assert _scan(*args, workspace) == _scan(*args)
+
+    def test_second_moment_gram_squares_the_inner_products(self):
+        y = np.random.default_rng(5).standard_normal((30, 4))
+        inner = y @ y.T
+        assert _target_gram(y, ResponseKind.MEAN).tobytes() == inner.tobytes()
+        assert _target_gram(y, ResponseKind.SECOND_MOMENT).tobytes() == (inner**2).tobytes()
 
 
 def _traverse_leaves(tree):
