@@ -10,7 +10,7 @@ backtester exercise the estimator end to end.
 from .covariance import raw_cov, train_cov_forests
 from .data import CsvLayout, Dataset, load_returns_csv
 from .forest import Forest, ForestConfig, ResponseKind, train_forest, weight_vector
-from .portfolio import BacktestSpec, backtest, min_var_weights, performance
+from .portfolio import backtest, min_var_weights, performance
 from .simulation import (
     ExperimentConfig,
     MethodSpec,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple
@@ -21,7 +22,7 @@ from typing import NamedTuple
 from .covariance import raw_cov, train_cov_forests, write_matrix_csv
 from .data import CsvFormatError, CsvLayout, load_query_csv, load_returns_csv
 from .forest import ForestConfig
-from .portfolio import BacktestSpec, backtest
+from .portfolio import backtest, check_backtest_method
 from .simulation import ExperimentConfig, MethodSpec, ModelSpec, run_experiment
 from .thresholding import ForestCV, ThresholdRule, check_cv_folds, pd_correct
 
@@ -32,6 +33,15 @@ EXIT_USAGE = 2
 
 class UsageError(ValueError):
     pass
+
+
+@contextmanager
+def _usage_errors():
+    """Re-raise a ValueError from the block as a usage error (exit 2)."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 class Setting(NamedTuple):
@@ -93,7 +103,7 @@ _ESTIMATE = _COMMON + (
 _BACKTEST = _COMMON + (
     Setting("panel", str, None, "panel CSV"),
     *_CSV_LAYOUT,
-    Setting("method", str, "mfdcm:soft"),
+    Setting("method", str, "mfdcm:soft", "mfdcm[:RULE], mkernel[:J][:RULE], static[:RULE] or identity"),
     Setting("window", int, 100, minimum=2),
     Setting("stride", int, 1, minimum=1),
     Setting("out", str, "backtest", "output path prefix"),
@@ -180,32 +190,28 @@ def _resolve(forest: ForestConfig, n: int, d: int, folds: int | None = None) -> 
     too few rows for ``folds``-fold CV when one is run, is a usage error,
     found before any tree is grown.
     """
-    try:
+    with _usage_errors():
         if folds is not None:
             check_cv_folds(n, folds)
         return forest.resolve(n, d)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
 
 
 def _layout_from(cfg: dict) -> CsvLayout:
-    try:
+    with _usage_errors():
         return CsvLayout(
             response_cols=tuple(cfg["response-cols"].split(",")),
             covariate_cols=tuple(cfg["covariate-cols"].split(",")),
             date_col=cfg["date-col"] or None,
             lag=cfg["lag"],
         )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
 
 
 def cmd_simulate(cfg: dict) -> int:
-    try:
+    with _usage_errors():
         model = ModelSpec(model=cfg["model"], p=cfg["p"], d=cfg["d"], n=cfg["n"])
         methods = tuple(MethodSpec.parse(m) for m in cfg["methods"].split(",") if m)
         forest = _forest_config(cfg)
-        if any(m.name in ("fdcm", "mfdcm") for m in methods):
+        if any(m.forest for m in methods):
             forest = _resolve(forest, model.n, model.d, cfg["folds"])
         exp = ExperimentConfig(
             model=model,
@@ -217,8 +223,6 @@ def cmd_simulate(cfg: dict) -> int:
             grid_size=cfg["grid-size"],
             lambda_mode=cfg["lambda-mode"],
         )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
 
     report = run_experiment(exp)
     out = Path(cfg["out"])
@@ -236,10 +240,8 @@ def cmd_estimate(cfg: dict) -> int:
         if not Path(cfg[path_key]).exists():
             raise UsageError(f"--{path_key} file not found: {cfg[path_key]}")
     layout = _layout_from(cfg)
-    try:
+    with _usage_errors():
         rule = ThresholdRule.parse(cfg["rule"])
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
 
     dataset = load_returns_csv(cfg["train"], layout)
     queries = load_query_csv(cfg["query"])
@@ -283,18 +285,19 @@ def cmd_backtest(cfg: dict) -> int:
     if not Path(cfg["panel"]).exists():
         raise UsageError(f"--panel file not found: {cfg['panel']}")
     layout = _layout_from(cfg)
-    try:
-        spec = BacktestSpec.parse(cfg["method"])
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    with _usage_errors():
+        spec = MethodSpec.parse(cfg["method"])
+        check_backtest_method(spec)
 
     panel = load_returns_csv(cfg["panel"], layout)
     if panel.n <= cfg["window"]:
         raise UsageError(
             f"panel has {panel.n} usable rows; needs more than window={cfg['window']}"
         )
+    with _usage_errors():
+        spec.check_covariate(panel.d)
     forest_cfg = _forest_config(cfg)
-    if spec.method == "mfdcm":
+    if spec.forest:
         forest_cfg = _resolve(forest_cfg, cfg["window"], panel.d, cfg["folds"])
     result = backtest(
         panel,

@@ -3,22 +3,23 @@
 Each out-of-sample day's covariance estimate is trained on the trailing
 window of paired rows (factor vector u_t conditioning the next day's asset
 returns y_t, per the loader's lag pairing) and never sees the evaluation
-row.  Only positive-definite estimator arms are backtested; non-PD raw
-estimates are refused rather than inverted.
+row.  The arm is a ``simulation.MethodSpec`` named in BACKTEST_METHODS, and
+every arm but ``identity`` is PD-corrected before its matrix is inverted, so
+no non-PD estimate is ever used.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .covariance import raw_cov, train_cov_forests
 from .data import Dataset
 from .forest import ForestConfig
-from .simulation import kernel_dcm_baseline, static_baseline
-from .thresholding import ForestCV, ThresholdRule, pd_correct
+from .simulation import MethodSpec, kernel_dcm_baseline, static_baseline
+from .thresholding import ForestCV, pd_correct
 
 TRADING_DAYS_PER_YEAR = 252
 
@@ -63,42 +64,6 @@ def performance(daily_returns) -> Performance:
     return Performance(avr=avr, std=std, ir=ir)
 
 
-@dataclass(frozen=True)
-class BacktestSpec:
-    """Which estimator arm drives the daily covariance estimate."""
-
-    method: str  # mfdcm | mkernel | static | identity
-    rule: ThresholdRule = field(default_factory=lambda: ThresholdRule("soft"))
-    kernel_covariate: int = 1
-
-    def __post_init__(self):
-        if self.method not in BACKTEST_METHODS:
-            raise ValueError(
-                f"backtest supports only PD arms {BACKTEST_METHODS}, got {self.method!r}"
-            )
-
-    @classmethod
-    def parse(cls, text: str) -> "BacktestSpec":
-        parts = text.strip().split(":")
-        name = parts[0].lower()
-        if name == "identity":
-            return cls("identity")
-        rest = parts[1:]
-        cov = 1
-        if name == "mkernel" and rest and rest[0].isdigit():
-            cov = int(rest[0])
-            rest = rest[1:]
-        rule = ThresholdRule.parse(":".join(rest)) if rest else ThresholdRule("soft")
-        return cls(method=name, rule=rule, kernel_covariate=cov)
-
-    def __str__(self) -> str:
-        if self.method == "identity":
-            return "identity"
-        if self.method == "mkernel":
-            return f"{self.method}:{self.kernel_covariate}:{self.rule}"
-        return f"{self.method}:{self.rule}"
-
-
 @dataclass
 class BacktestResult:
     daily_returns: np.ndarray
@@ -107,30 +72,15 @@ class BacktestResult:
     perf: Performance
 
 
-class _ForestArm:
-    """Rolling forest estimator with optional retrain stride."""
-
-    def __init__(self, spec, config, folds, grid_size):
-        self.spec = spec
-        self.config = config
-        self.folds = folds
-        self.grid_size = grid_size
-        self._forests = None
-        self._cv = None
-        self._train = None
-
-    def estimate(self, train: Dataset, u: np.ndarray, retrain: bool) -> np.ndarray:
-        if retrain or self._forests is None:
-            self._train = train
-            self._forests = train_cov_forests(train, self.config)
-            self._cv = ForestCV(train, self.config, folds=self.folds, grid_size=self.grid_size)
-        raw = raw_cov(*self._forests, self._train, u)
-        return pd_correct(self._cv.select(u, self.spec.rule, raw).apply(raw))[0]
+def check_backtest_method(spec: MethodSpec) -> None:
+    """Raise ValueError unless ``spec`` is an arm ``backtest`` runs."""
+    if spec.name not in BACKTEST_METHODS:
+        raise ValueError(f"backtest supports only PD arms {BACKTEST_METHODS}, got {spec.name!r}")
 
 
 def backtest(
     panel: Dataset,
-    spec: BacktestSpec,
+    spec: MethodSpec,
     window: int = 100,
     forest_config: ForestConfig | None = None,
     folds: int = 5,
@@ -144,7 +94,11 @@ def backtest(
     day with that day's asset returns; weights for row i are computed from
     rows [i - window, i) only.  With ``stride`` m > 1 forests are retrained
     every m days and re-queried at the new factor vector in between.
+    ``seed`` drives every random stream of the run, the forests' and the CV
+    folds', so ``forest_config.seed`` is not read.
     """
+    check_backtest_method(spec)
+    spec.check_covariate(panel.d)
     T, p = panel.n, panel.p
     if T <= window:
         raise ValueError(f"panel has {T} rows; needs more than window={window}")
@@ -159,28 +113,31 @@ def backtest(
             stacklevel=2,
         )
 
-    arm = None
-    if spec.method == "mfdcm":
+    if spec.forest:
         cfg = replace((forest_config or ForestConfig()).resolve(window, panel.d), seed=seed)
-        arm = _ForestArm(spec, cfg, folds, grid_size)
 
     daily = np.empty(T - window)
     weights = np.empty((T - window, p))
     for step, i in enumerate(range(window, T)):
         train = panel.subset(np.arange(i - window, i))
         u = panel.u[i]
-        if spec.method == "identity":
+        if spec.name == "identity":
             sigma = np.eye(p)
-        elif spec.method == "static":
-            mat = static_baseline(train, spec.rule, folds=folds, grid_size=grid_size, seed=seed)
+        else:
+            if spec.forest:
+                if step % stride == 0:
+                    fit = train
+                    forests = train_cov_forests(fit, cfg)
+                    cv = ForestCV(fit, cfg, folds=folds, grid_size=grid_size)
+                raw = raw_cov(*forests, fit, u)
+                mat = cv.select(u, spec.rule, raw).apply(raw)
+            elif spec.name == "static":
+                mat = static_baseline(train, spec.rule, folds=folds, grid_size=grid_size, seed=seed)
+            else:  # mkernel
+                mat = kernel_dcm_baseline(
+                    train, spec.kernel_covariate, u, spec.rule, folds=folds, grid_size=grid_size, seed=seed
+                )
             sigma = pd_correct(mat)[0]
-        elif spec.method == "mkernel":
-            mat = kernel_dcm_baseline(
-                train, spec.kernel_covariate, u, spec.rule, folds=folds, grid_size=grid_size, seed=seed
-            )
-            sigma = pd_correct(mat)[0]
-        else:  # mfdcm
-            sigma = arm.estimate(train, u, retrain=step % stride == 0)
         w = min_var_weights(sigma)
         weights[step] = w
         daily[step] = float(w @ panel.y[i])

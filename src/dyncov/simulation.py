@@ -1,6 +1,9 @@
 """Monte Carlo benchmark harness: synthetic generators, loss metrics,
 static and kernel-smoothing baselines, and the replicated experiment runner.
 
+``MethodSpec`` names an estimator arm for this runner and for the backtest;
+here the ``m`` arms, ``mfdcm`` and ``mkernel``, are PD-corrected.
+
 Four generators are provided: two scaled AR(1)-style structures driven by
 one or two covariate coordinates, and two banded varying-sparsity structures
 whose off-diagonal support switches on and off with the covariates.
@@ -13,7 +16,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -243,15 +246,20 @@ def kernel_dcm_baseline(
 
 # --- experiment runner -----------------------------------------------------
 
-METHOD_NAMES = ("fdcm", "mfdcm", "static", "kernel", "mkernel")
+METHOD_NAMES = ("fdcm", "mfdcm", "static", "kernel", "mkernel", "identity")
+SIMULATE_METHODS = ("fdcm", "mfdcm", "static", "kernel", "mkernel")
 
 
 @dataclass(frozen=True)
 class MethodSpec:
-    """Estimator descriptor: name, thresholding rule, kernel covariate index."""
+    """Estimator arm ``name[:J][:RULE]``: name, thresholding rule, kernel covariate.
+
+    J, the 1-based covariate of a kernel arm, defaults to 1 and is refused on
+    other arms; RULE defaults to soft; ``identity`` takes no parameter.
+    """
 
     name: str
-    rule: ThresholdRule
+    rule: ThresholdRule = ThresholdRule("soft")
     kernel_covariate: int = 1
 
     def __post_init__(self):
@@ -259,29 +267,47 @@ class MethodSpec:
             raise ValueError(f"unknown method {self.name!r}; choose from {METHOD_NAMES}")
         if self.kernel_covariate < 1:
             raise ValueError("kernel covariate index is 1-based")
+        if self.kernel_covariate != 1 and not self.kernel:
+            raise ValueError(f"method {self.name!r} takes no covariate index")
+        if self.name == "identity" and self.rule != ThresholdRule("soft"):
+            raise ValueError("method 'identity' takes no parameter")
+
+    @property
+    def forest(self) -> bool:
+        """Whether the arm is the forest estimator, trained with its fold forests."""
+        return self.name in ("fdcm", "mfdcm")
+
+    @property
+    def kernel(self) -> bool:
+        return self.name in ("kernel", "mkernel")
+
+    def check_covariate(self, d: int) -> None:
+        """Raise ValueError unless the kernel covariate is one of d covariates."""
+        if self.kernel_covariate > d:
+            raise ValueError(f"method {self}: covariate index must be in 1..{d}")
 
     @classmethod
     def parse(cls, text: str) -> "MethodSpec":
-        """Parse ``name:rule`` or ``kernel:J:rule`` descriptors."""
-        parts = text.strip().split(":")
-        name = parts[0].lower()
-        rest = parts[1:]
-        cov = 1
-        if name in ("kernel", "mkernel") and rest and rest[0].isdigit():
-            cov = int(rest[0])
-            rest = rest[1:]
-        if not rest:
-            raise ValueError(f"method {text!r} is missing a thresholding rule")
-        return cls(name=name, rule=ThresholdRule.parse(":".join(rest)), kernel_covariate=cov)
+        """Parse ``name[:J][:RULE]``; the inverse of ``str``."""
+        name, *rest = text.strip().lower().split(":")
+        if name == "identity" and rest:
+            raise ValueError("method 'identity' takes no parameter")
+        cov = int(rest.pop(0)) if rest and rest[0].isdigit() and cls(name).kernel else 1
+        rule = ThresholdRule.parse(":".join(rest)) if rest else ThresholdRule("soft")
+        return cls(name=name, rule=rule, kernel_covariate=cov)
 
     def __str__(self) -> str:
-        if self.name in ("kernel", "mkernel"):
-            return f"{self.name}:{self.kernel_covariate}:{self.rule}"
-        return f"{self.name}:{self.rule}"
+        if self.name == "identity":
+            return self.name
+        cov = f":{self.kernel_covariate}" if self.kernel else ""
+        return f"{self.name}{cov}:{self.rule}"
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One replicated experiment; ``seed`` drives every random stream of the run
+    (datasets, forests, CV folds), so ``forest.seed`` is not read."""
+
     model: ModelSpec
     methods: tuple[MethodSpec, ...]
     reps: int = 50
@@ -298,6 +324,10 @@ class ExperimentConfig:
             raise ValueError("lambda_mode must be 'per-point' or 'shared'")
         if not self.methods:
             raise ValueError("at least one method is required")
+        for method in self.methods:
+            if method.name not in SIMULATE_METHODS:
+                raise ValueError(f"simulate supports only {SIMULATE_METHODS}, got {method.name!r}")
+            method.check_covariate(self.model.d)
 
 
 @dataclass
@@ -354,8 +384,9 @@ def _forest_estimates(
     rules: list[ThresholdRule],
 ) -> dict[ThresholdRule, list[np.ndarray]]:
     """Thresholded forest estimates at every query point, one list per rule."""
-    forests = train_cov_forests(dataset, config.forest)
-    cv = ForestCV(dataset, config.forest, folds=config.folds, grid_size=config.grid_size)
+    forest = replace(config.forest, seed=config.seed)
+    forests = train_cov_forests(dataset, forest)
+    cv = ForestCV(dataset, forest, folds=config.folds, grid_size=config.grid_size)
     raws = [raw_cov(*forests, dataset, u) for u in points]
     out: dict[ThresholdRule, list[np.ndarray]] = {}
     for rule in rules:
@@ -374,19 +405,15 @@ def _run_rep(config: ExperimentConfig, points: np.ndarray, rep: int):
     dataset = sample_dataset(config.model, rng)
     truths = [true_cov(config.model, u) for u in points]
 
-    forest_rules = sorted(
-        {m.rule for m in config.methods if m.name in ("fdcm", "mfdcm")}, key=str
-    )
+    forest_rules = sorted({m.rule for m in config.methods if m.forest}, key=str)
     forest_ests = (
         _forest_estimates(dataset, config, points, forest_rules) if forest_rules else {}
     )
 
     per_method = []
     for method in config.methods:
-        if method.name in ("fdcm", "mfdcm"):
+        if method.forest:
             mats = forest_ests[method.rule]
-            if method.name == "mfdcm":
-                mats = [pd_correct(m)[0] for m in mats]
         elif method.name == "static":
             mat = static_baseline(
                 dataset, method.rule, folds=config.folds, grid_size=config.grid_size, seed=config.seed
@@ -405,8 +432,8 @@ def _run_rep(config: ExperimentConfig, points: np.ndarray, rep: int):
                 )
                 for u in points
             ]
-            if method.name == "mkernel":
-                mats = [pd_correct(m)[0] for m in mats]
+        if method.name in ("mfdcm", "mkernel"):
+            mats = [pd_correct(m)[0] for m in mats]
         fro_sp = np.array([losses(m, t) for m, t in zip(mats, truths)])
         tpr_fpr = np.array([sparsity_rates(m, t) for m, t in zip(mats, truths)])
         per_method.append((fro_sp, tpr_fpr))

@@ -23,7 +23,7 @@ from dyncov.forest import (
     train_forest,
     weight_vector,
 )
-from dyncov.portfolio import BacktestSpec, backtest, min_var_weights
+from dyncov.portfolio import backtest, min_var_weights
 from dyncov.simulation import (
     ExperimentConfig,
     MethodSpec,
@@ -331,7 +331,7 @@ def test_criterion_09_portfolio_properties():
         # No lookahead: weights for the first evaluation days are unchanged
         # when future panel rows are deleted.
         panel = _panel(T=300, p=5, d=2, seed=0)
-        arm = BacktestSpec.parse("static:soft")
+        arm = MethodSpec.parse("static:soft")
         full = backtest(panel, arm, window=100)
         truncated = backtest(panel.subset(np.arange(250)), arm, window=100)
         np.testing.assert_array_equal(full.weights_log[:150], truncated.weights_log)
@@ -342,10 +342,10 @@ def test_criterion_09_portfolio_properties():
             px = _panel(T=260, p=20, d=5, seed=seed)
             cfg = ForestConfig(n_trees=200, seed=seed)
             dynamic = backtest(
-                px, BacktestSpec.parse("mfdcm:soft"), window=200,
+                px, MethodSpec.parse("mfdcm:soft"), window=200,
                 forest_config=cfg, folds=5, stride=5, seed=seed,
             )
-            static = backtest(px, BacktestSpec.parse("static:soft"), window=200, folds=5, seed=seed)
+            static = backtest(px, MethodSpec.parse("static:soft"), window=200, folds=5, seed=seed)
             wins += dynamic.perf.std <= static.perf.std
         assert wins >= 4, f"forest arm had lower volatility in only {wins}/5 runs"
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dyncov import _streams, cli, forest
+from dyncov import _streams, cli, forest, portfolio, simulation
 from dyncov.cli import EXIT_OK, EXIT_USAGE, main
 from dyncov.data import CsvLayout, write_returns_csv
 from dyncov.simulation import ModelSpec, sample_dataset
@@ -82,6 +82,32 @@ class TestSimulate:
         assert "n=30 too small for 16-fold CV" in capsys.readouterr().err
         assert not out.with_suffix(".csv").exists()
         assert main(SIM_FLAGS + ["--folds", "16", "--out", str(tmp_path / "static")]) == EXIT_OK
+
+    def test_method_rule_defaults_to_soft(self, tmp_path):
+        bodies = []
+        for methods in ("fdcm", "fdcm:soft"):
+            out = tmp_path / methods.replace(":", "_")
+            assert main(SIM_FLAGS + ["--methods", methods, "--out", str(out)]) == EXIT_OK
+            lines = out.with_suffix(".csv").read_text().splitlines()
+            bodies.append([line for line in lines if not line.startswith("#")])
+        assert bodies[0] == bodies[1]
+        assert "fdcm:soft,mfl," in "\n".join(bodies[0])
+
+    def test_kernel_covariate_beyond_d_refused_before_any_work(self, tmp_path, capsys,
+                                                               monkeypatch):
+        def started(*args, **kwargs):
+            raise AssertionError("work started")
+
+        for module, name in ((forest, "grow_tree"), (simulation, "sample_dataset"),
+                             (simulation, "kernel_dcm_baseline")):
+            monkeypatch.setattr(module, name, started)
+        out = tmp_path / "x"
+        code = main(["simulate", "--model", "1", "--p", "3", "--d", "2", "--n", "24",
+                     "--reps", "1", "--methods", "fdcm:soft,kernel:5:soft", "--trees", "5",
+                     "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "kernel:5:soft: covariate index must be in 1..2" in capsys.readouterr().err
+        assert not out.with_suffix(".csv").exists()
 
     def test_config_file_and_cli_precedence(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -324,6 +350,16 @@ class TestBacktest:
             b = out_b.with_suffix(suffix).read_text().replace(str(out_b), "OUT")
             assert a == b
 
+    def test_kernel_covariate_beyond_d_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        def started(*args, **kwargs):
+            raise AssertionError("the kernel baseline ran")
+
+        monkeypatch.setattr(portfolio, "kernel_dcm_baseline", started)
+        code, out = self._run(tmp_path, extra=["--method", "mkernel:3:soft"])
+        assert code == EXIT_USAGE
+        assert "mkernel:3:soft: covariate index must be in 1..2" in capsys.readouterr().err
+        assert not out.with_suffix(".summary.txt").exists()
+
     def test_invalid_method(self, tmp_path):
         panel = tmp_path / "panel.csv"
         _write_panel(panel, T=30, p=2, d=2, seed=5)
@@ -386,6 +422,16 @@ class TestSettings:
         assert code == EXIT_USAGE
         assert message in capsys.readouterr().err
         assert not list(tmp_path.glob("out*"))
+
+    @pytest.mark.parametrize("argv, message", [
+        (["backtest", "--method", "identity:soft"], "method 'identity' takes no parameter"),
+        (["backtest", "--method", "mkernel:0:soft"], "kernel covariate index is 1-based"),
+        (["backtest", "--method", "fdcm:soft"], "backtest supports only PD arms"),
+        (["backtest", "--method", "mfdcm:2:soft"], "unknown thresholding rule '2:soft'"),
+        (["simulate", "--methods", "fdcm:soft,identity"], "simulate supports only"),
+    ], ids=["identity-rule", "kernel-zero", "fdcm", "forest-covariate", "simulate-identity"])
+    def test_method_refused_before_loading(self, tmp_path, capsys, monkeypatch, argv, message):
+        self._refused_before_loading(tmp_path, capsys, monkeypatch, argv, message)
 
     @pytest.mark.parametrize("rule", ["scad:inf", "scad:nan", "alasso:inf", "alasso:nan"])
     @pytest.mark.parametrize("command, flag, prefix", [

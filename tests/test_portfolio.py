@@ -3,15 +3,14 @@ import pytest
 
 from dyncov.data import Dataset
 from dyncov.forest import ForestConfig
+from dyncov import portfolio
 from dyncov.portfolio import (
-    BacktestSpec,
     TRADING_DAYS_PER_YEAR,
     backtest,
     min_var_weights,
     performance,
 )
-from dyncov.simulation import ModelSpec, sample_dataset
-from dyncov.thresholding import ThresholdRule
+from dyncov.simulation import MethodSpec, ModelSpec, sample_dataset
 from dyncov import _streams
 
 
@@ -98,26 +97,10 @@ class TestPerformance:
             performance([0.1])
 
 
-class TestBacktestSpec:
-    def test_parse_round_trip(self):
-        for text in ("identity", "static:soft", "mfdcm:scad:3.7", "mkernel:2:soft"):
-            spec = BacktestSpec.parse(text)
-            assert BacktestSpec.parse(str(spec)) == spec
-
-    def test_default_rule(self):
-        assert BacktestSpec.parse("mfdcm").rule == ThresholdRule("soft")
-
-    def test_non_pd_arm_rejected(self):
-        with pytest.raises(ValueError):
-            BacktestSpec.parse("fdcm:soft")
-        with pytest.raises(ValueError):
-            BacktestSpec.parse("kernel:1:soft")
-
-
 class TestBacktest:
     def test_identity_equal_weights(self):
         panel = _model_panel(30, p=3)
-        result = backtest(panel, BacktestSpec("identity"), window=10)
+        result = backtest(panel, MethodSpec("identity"), window=10)
         assert result.daily_returns.shape == (20,)
         np.testing.assert_allclose(result.weights_log, 1.0 / 3.0)
         np.testing.assert_allclose(result.daily_returns, panel.y[10:].mean(axis=1))
@@ -129,27 +112,27 @@ class TestBacktest:
         y = np.full((T, p), r)
         u = np.random.default_rng(0).uniform(-1, 1, (T, 2))
         panel = Dataset(y, u)
-        result = backtest(panel, BacktestSpec("identity"), window=5)
+        result = backtest(panel, MethodSpec("identity"), window=5)
         np.testing.assert_allclose(result.daily_returns, r)
 
     def test_weights_sum_to_one(self):
         panel = _model_panel(40, p=3)
         for method in ("identity", "static:soft"):
-            result = backtest(panel, BacktestSpec.parse(method), window=20)
+            result = backtest(panel, MethodSpec.parse(method), window=20)
             np.testing.assert_allclose(result.weights_log.sum(axis=1), 1.0, atol=1e-10)
 
     def test_no_lookahead_static(self):
         panel = _model_panel(60, p=3)
-        full = backtest(panel, BacktestSpec.parse("static:soft"), window=30)
-        truncated = backtest(panel.subset(np.arange(50)), BacktestSpec.parse("static:soft"), window=30)
+        full = backtest(panel, MethodSpec.parse("static:soft"), window=30)
+        truncated = backtest(panel.subset(np.arange(50)), MethodSpec.parse("static:soft"), window=30)
         np.testing.assert_array_equal(full.weights_log[:20], truncated.weights_log)
 
     def test_no_lookahead_mfdcm(self):
         panel = _model_panel(26, p=3)
         cfg = ForestConfig(n_trees=10, min_leaf=2, seed=0)
         kw = dict(window=12, forest_config=cfg, folds=2, stride=2)
-        full = backtest(panel, BacktestSpec.parse("mfdcm:soft"), **kw)
-        truncated = backtest(panel.subset(np.arange(20)), BacktestSpec.parse("mfdcm:soft"), **kw)
+        full = backtest(panel, MethodSpec.parse("mfdcm:soft"), **kw)
+        truncated = backtest(panel.subset(np.arange(20)), MethodSpec.parse("mfdcm:soft"), **kw)
         np.testing.assert_array_equal(full.weights_log[:8], truncated.weights_log)
 
     def test_dates_follow_evaluation_rows(self):
@@ -157,34 +140,58 @@ class TestBacktest:
         y = np.random.default_rng(1).standard_normal((T, 2))
         u = np.random.default_rng(2).uniform(-1, 1, (T, 1))
         panel = Dataset(y, u, dates=tuple(f"d{i}" for i in range(T)))
-        result = backtest(panel, BacktestSpec("identity"), window=10)
+        result = backtest(panel, MethodSpec("identity"), window=10)
         assert result.dates == tuple(f"d{i}" for i in range(10, 15))
 
     def test_window_validation(self):
         panel = _model_panel(20, p=2)
         with pytest.raises(ValueError):
-            backtest(panel, BacktestSpec("identity"), window=20)
+            backtest(panel, MethodSpec("identity"), window=20)
         with pytest.raises(ValueError):
-            backtest(panel, BacktestSpec("identity"), window=1)
+            backtest(panel, MethodSpec("identity"), window=1)
         with pytest.raises(ValueError):
-            backtest(panel, BacktestSpec("identity"), window=10, stride=0)
+            backtest(panel, MethodSpec("identity"), window=10, stride=0)
 
     def test_window_below_p_warns(self):
         panel = _model_panel(20, p=8)
         with pytest.warns(UserWarning, match="rank deficient"):
-            backtest(panel, BacktestSpec("identity"), window=5)
+            backtest(panel, MethodSpec("identity"), window=5)
 
     def test_mkernel_arm_runs(self):
         panel = _model_panel(26, p=3)
-        result = backtest(panel, BacktestSpec.parse("mkernel:1:soft"), window=20)
+        result = backtest(panel, MethodSpec.parse("mkernel:1:soft"), window=20)
         assert result.daily_returns.shape == (6,)
         np.testing.assert_allclose(result.weights_log.sum(axis=1), 1.0, atol=1e-10)
 
     def test_stride_reuses_forests(self):
         panel = _model_panel(30, p=3)
         cfg = ForestConfig(n_trees=10, min_leaf=2, seed=0)
-        daily = backtest(panel, BacktestSpec.parse("mfdcm:soft"), window=20,
+        daily = backtest(panel, MethodSpec.parse("mfdcm:soft"), window=20,
                          forest_config=cfg, folds=2, stride=5)
-        again = backtest(panel, BacktestSpec.parse("mfdcm:soft"), window=20,
+        again = backtest(panel, MethodSpec.parse("mfdcm:soft"), window=20,
                          forest_config=cfg, folds=2, stride=5)
         np.testing.assert_array_equal(daily.daily_returns, again.daily_returns)
+
+    def test_non_pd_arm_rejected(self):
+        panel = _model_panel(30, p=3)
+        for method in ("fdcm:soft", "kernel:1:soft"):
+            with pytest.raises(ValueError, match="backtest supports only PD arms"):
+                backtest(panel, MethodSpec.parse(method), window=20)
+
+    def test_kernel_covariate_checked_before_day_one(self, monkeypatch):
+        def started(*args, **kwargs):
+            raise AssertionError("the kernel baseline ran")
+
+        monkeypatch.setattr(portfolio, "kernel_dcm_baseline", started)
+        panel = _model_panel(26, p=3, d=2)
+        with pytest.raises(ValueError, match=r"covariate index must be in 1\.\.2"):
+            backtest(panel, MethodSpec.parse("mkernel:3:soft"), window=20)
+
+    def test_run_seed_drives_the_forests(self):
+        panel = _model_panel(26, p=3)
+        runs = [
+            backtest(panel, MethodSpec.parse("mfdcm:soft"), window=20, folds=2, stride=3, seed=4,
+                     forest_config=ForestConfig(n_trees=10, min_leaf=2, seed=forest_seed))
+            for forest_seed in (0, 7)
+        ]
+        np.testing.assert_array_equal(runs[0].daily_returns, runs[1].daily_returns)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from dyncov.data import Dataset
 from dyncov.forest import ForestConfig
 from dyncov.simulation import (
+    METHOD_NAMES,
     ExperimentConfig,
     MethodSpec,
     ModelSpec,
@@ -264,22 +266,49 @@ class TestKernelBaseline:
         assert h == pytest.approx(1.06 * np.std(uj, ddof=1) * 100 ** (-0.2))
 
 
+RULE_TEXTS = ("hard", "soft", "scad", "scad:4.5", "alasso", "alasso:0.5")
+
+
 class TestMethodSpec:
     def test_parse_round_trip(self):
-        for text in ("fdcm:soft", "mfdcm:scad:3.7", "static:hard",
-                     "kernel:2:soft", "mkernel:1:alasso:3"):
-            spec = MethodSpec.parse(text)
-            assert MethodSpec.parse(str(spec)) == spec
+        for name in METHOD_NAMES:
+            if name == "identity":
+                texts = ["identity", "IDENTITY"]
+            elif name in ("kernel", "mkernel"):
+                texts = [f"{name}:{j}:{r}" for j in (1, 2) for r in RULE_TEXTS]
+                texts += [f"{name}:{j}" for j in (1, 2)]
+            else:
+                texts = [f"{name}:{r}" for r in RULE_TEXTS] + [name.upper()]
+            for text in texts:
+                spec = MethodSpec.parse(text)
+                assert spec.name == name
+                assert MethodSpec.parse(str(spec)) == spec
+        assert str(MethodSpec.parse("kernel:2:scad")) == "kernel:2:scad:3.7"
+        assert str(MethodSpec.parse("static:alasso:0.5")) == "static:alasso:0.5"
 
     def test_kernel_default_covariate(self):
-        spec = MethodSpec.parse("kernel:soft")
-        assert spec.kernel_covariate == 1
+        assert MethodSpec.parse("kernel:soft").kernel_covariate == 1
+        assert MethodSpec.parse("mkernel") == MethodSpec.parse("mkernel:1:soft")
+
+    def test_default_rule(self):
+        for name in ("fdcm", "mfdcm", "static", "kernel", "mkernel"):
+            assert MethodSpec.parse(name) == MethodSpec.parse(f"{name}:soft")
+            assert MethodSpec.parse(name).rule == ThresholdRule("soft")
+        assert str(MethodSpec.parse("fdcm")) == "fdcm:soft"
+        assert MethodSpec("identity") == MethodSpec.parse("identity")
 
     def test_invalid(self):
+        for text in ("bogus:soft", "identity:soft", "identity:2", "kernel:0:soft",
+                     "mkernel:0", "fdcm:2:soft", "static:1", "fdcm:", "fdcm:bogus",
+                     "kernel:2:hard:3"):
+            with pytest.raises(ValueError):
+                MethodSpec.parse(text)
         with pytest.raises(ValueError):
-            MethodSpec.parse("bogus:soft")
-        with pytest.raises(ValueError):
-            MethodSpec.parse("fdcm")
+            MethodSpec("identity", ThresholdRule("hard"))
+
+    def test_forest_and_kernel_arms(self):
+        assert [n for n in METHOD_NAMES if MethodSpec(n).forest] == ["fdcm", "mfdcm"]
+        assert [n for n in METHOD_NAMES if MethodSpec(n).kernel] == ["kernel", "mkernel"]
 
 
 class TestRunExperiment:
@@ -341,3 +370,15 @@ class TestRunExperiment:
             self._config(lambda_mode="global")
         with pytest.raises(ValueError):
             self._config(methods=())
+        with pytest.raises(ValueError, match="simulate supports only"):
+            self._config(methods=("identity",))
+        with pytest.raises(ValueError, match=r"covariate index must be in 1\.\.2"):
+            self._config(methods=("static:soft", "mkernel:3:soft"))
+        self._config(methods=("kernel:2:soft",))
+
+    def test_run_seed_drives_the_forests(self):
+        cfg = self._config(methods=("fdcm:soft",))
+        lines = run_experiment(cfg).to_csv_lines()
+        for forest_seed in (3, 9):
+            other = replace(cfg, forest=replace(cfg.forest, seed=forest_seed))
+            assert run_experiment(other).to_csv_lines() == lines
