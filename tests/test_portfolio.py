@@ -7,6 +7,7 @@ from dyncov import portfolio
 from dyncov.portfolio import (
     TRADING_DAYS_PER_YEAR,
     backtest,
+    check_backtest_method,
     min_var_weights,
     performance,
 )
@@ -95,6 +96,16 @@ class TestPerformance:
     def test_too_short(self):
         with pytest.raises(ValueError):
             performance([0.1])
+
+
+class TestBacktestSpec:
+    def test_parse_round_trip(self):
+        # The descriptors backtest takes parse, print and parse back unchanged,
+        # and the driver accepts each.
+        for text in ("identity", "static:soft", "mfdcm:scad:3.7", "mkernel:2:soft"):
+            spec = MethodSpec.parse(text)
+            assert MethodSpec.parse(str(spec)) == spec
+            check_backtest_method(spec)
 
 
 class TestBacktest:
