@@ -22,7 +22,7 @@ from typing import NamedTuple
 from .covariance import raw_cov, train_cov_forests, write_matrix_csv
 from .data import CsvFormatError, CsvLayout, load_query_csv, load_returns_csv
 from .forest import ForestConfig
-from .portfolio import backtest, check_backtest_method
+from .portfolio import backtest, check_backtest, check_backtest_method
 from .simulation import ExperimentConfig, MethodSpec, ModelSpec, run_experiment
 from .thresholding import ForestCV, ThresholdRule, check_cv_folds, pd_correct
 
@@ -183,19 +183,6 @@ def _forest_config(cfg: dict) -> ForestConfig:
     )
 
 
-def _resolve(forest: ForestConfig, n: int, d: int, folds: int | None = None) -> ForestConfig:
-    """The forest config resolved for n training rows of dimension d.
-
-    An infeasible config (say, min_leaf above the J2 half-sample size), or
-    too few rows for ``folds``-fold CV when one is run, is a usage error,
-    found before any tree is grown.
-    """
-    with _usage_errors():
-        if folds is not None:
-            check_cv_folds(n, folds)
-        return forest.resolve(n, d)
-
-
 def _layout_from(cfg: dict) -> CsvLayout:
     with _usage_errors():
         return CsvLayout(
@@ -209,16 +196,12 @@ def _layout_from(cfg: dict) -> CsvLayout:
 def cmd_simulate(cfg: dict) -> int:
     with _usage_errors():
         model = ModelSpec(model=cfg["model"], p=cfg["p"], d=cfg["d"], n=cfg["n"])
-        methods = tuple(MethodSpec.parse(m) for m in cfg["methods"].split(",") if m)
-        forest = _forest_config(cfg)
-        if any(m.forest for m in methods):
-            forest = _resolve(forest, model.n, model.d, cfg["folds"])
         exp = ExperimentConfig(
             model=model,
-            methods=methods,
+            methods=tuple(MethodSpec.parse(m) for m in cfg["methods"].split(",") if m),
             reps=cfg["reps"],
             seed=cfg["seed"],
-            forest=forest,
+            forest=_forest_config(cfg),
             folds=cfg["folds"],
             grid_size=cfg["grid-size"],
             lambda_mode=cfg["lambda-mode"],
@@ -237,7 +220,7 @@ def cmd_simulate(cfg: dict) -> int:
 
 def cmd_estimate(cfg: dict) -> int:
     for path_key in ("train", "query"):
-        if not Path(cfg[path_key]).exists():
+        if not Path(cfg[path_key]).is_file():
             raise UsageError(f"--{path_key} file not found: {cfg[path_key]}")
     layout = _layout_from(cfg)
     with _usage_errors():
@@ -250,12 +233,14 @@ def cmd_estimate(cfg: dict) -> int:
             f"query points have {queries.shape[1]} columns, training data has d={dataset.d}"
         )
 
-    folds = None if cfg["stage"] == "raw" else cfg["folds"]
-    forest_cfg = _resolve(_forest_config(cfg), dataset.n, dataset.d, folds)
+    with _usage_errors():
+        if cfg["stage"] != "raw":
+            check_cv_folds(dataset.n, cfg["folds"])
+        forest_cfg = _forest_config(cfg).resolve(dataset.n, dataset.d)
     forests = train_cov_forests(dataset, forest_cfg)
     cv = None
-    if folds is not None:
-        cv = ForestCV(dataset, forest_cfg, folds=folds, grid_size=cfg["grid-size"])
+    if cfg["stage"] != "raw":
+        cv = ForestCV(dataset, forest_cfg, folds=cfg["folds"], grid_size=cfg["grid-size"])
 
     out_dir = Path(cfg["out-dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -282,7 +267,7 @@ def cmd_estimate(cfg: dict) -> int:
 
 
 def cmd_backtest(cfg: dict) -> int:
-    if not Path(cfg["panel"]).exists():
+    if not Path(cfg["panel"]).is_file():
         raise UsageError(f"--panel file not found: {cfg['panel']}")
     layout = _layout_from(cfg)
     with _usage_errors():
@@ -290,15 +275,9 @@ def cmd_backtest(cfg: dict) -> int:
         check_backtest_method(spec)
 
     panel = load_returns_csv(cfg["panel"], layout)
-    if panel.n <= cfg["window"]:
-        raise UsageError(
-            f"panel has {panel.n} usable rows; needs more than window={cfg['window']}"
-        )
-    with _usage_errors():
-        spec.check_covariate(panel.d)
     forest_cfg = _forest_config(cfg)
-    if spec.forest:
-        forest_cfg = _resolve(forest_cfg, cfg["window"], panel.d, cfg["folds"])
+    with _usage_errors():
+        check_backtest(spec, panel.n, panel.d, cfg["window"], cfg["stride"], forest_cfg, cfg["folds"])
     result = backtest(
         panel,
         spec,

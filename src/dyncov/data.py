@@ -63,7 +63,7 @@ class Dataset:
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=int)
         dates = tuple(self.dates[i] for i in idx) if self.dates is not None else None
-        return Dataset(self.y[idx].copy(), self.u[idx].copy(), dates)
+        return Dataset(self.y[idx], self.u[idx], dates)
 
     def fingerprint(self) -> str:
         """Content hash used to guard against mixed-dataset misuse.

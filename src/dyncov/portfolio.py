@@ -19,7 +19,7 @@ from .covariance import raw_cov, train_cov_forests
 from .data import Dataset
 from .forest import ForestConfig
 from .simulation import MethodSpec, kernel_dcm_baseline, static_baseline
-from .thresholding import ForestCV, pd_correct
+from .thresholding import ForestCV, check_cv_folds, pd_correct
 
 TRADING_DAYS_PER_YEAR = 252
 
@@ -78,6 +78,25 @@ def check_backtest_method(spec: MethodSpec) -> None:
         raise ValueError(f"backtest supports only PD arms {BACKTEST_METHODS}, got {spec.name!r}")
 
 
+def check_backtest(spec: MethodSpec, n: int, d: int, window: int, stride: int,
+                   forest_config: ForestConfig | None, folds: int) -> None:
+    """Raise ValueError unless ``backtest`` can run ``spec`` on n panel rows of d
+    covariates: every arm but ``identity`` cross-validates on ``window`` rows,
+    and a forest arm's config must resolve there."""
+    check_backtest_method(spec)
+    spec.check_covariate(d)
+    if n <= window:
+        raise ValueError(f"panel has {n} rows; needs more than window={window}")
+    if window < 2:
+        raise ValueError("window must be >= 2")
+    if stride < 1:
+        raise ValueError("stride must be >= 1")
+    if spec.name != "identity":
+        check_cv_folds(window, folds)
+    if spec.forest:
+        (forest_config or ForestConfig()).resolve(window, d)
+
+
 def backtest(
     panel: Dataset,
     spec: MethodSpec,
@@ -95,17 +114,11 @@ def backtest(
     rows [i - window, i) only.  With ``stride`` m > 1 forests are retrained
     every m days and re-queried at the new factor vector in between.
     ``seed`` drives every random stream of the run, the forests' and the CV
-    folds', so ``forest_config.seed`` is not read.
+    folds', so ``forest_config.seed`` is not read.  Settings that
+    ``check_backtest`` refuses raise before day 1.
     """
-    check_backtest_method(spec)
-    spec.check_covariate(panel.d)
+    check_backtest(spec, panel.n, panel.d, window, stride, forest_config, folds)
     T, p = panel.n, panel.p
-    if T <= window:
-        raise ValueError(f"panel has {T} rows; needs more than window={window}")
-    if window < 2:
-        raise ValueError("window must be >= 2")
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
     if window < p:
         warnings.warn(
             f"window {window} < p {p}: raw estimates are rank deficient; "

@@ -24,7 +24,7 @@ from . import _streams
 from .covariance import raw_cov, train_cov_forests
 from .data import Dataset
 from .forest import ForestConfig
-from .thresholding import ForestCV, ThresholdRule, cv_threshold, pd_correct
+from .thresholding import ForestCV, ThresholdRule, check_cv_folds, cv_threshold, pd_correct
 
 N_TEST_POINTS = 30
 
@@ -97,9 +97,7 @@ def true_cov(spec: ModelSpec, u: np.ndarray) -> np.ndarray:
         bands = np.abs(np.subtract.outer(np.arange(p), np.arange(p)))
         return math.exp(u[0] + u[1]) * rho**bands
     if spec.model == 3:
-        c1 = 0.5 * _bump(u[0], 0.25, 0.75) if -0.5 <= u[0] <= 1 else 0.0
-        c2 = 0.4 * _bump(u[0], 0.65, 0.35) if 0.3 <= u[0] <= 1 else 0.0
-        return _band_matrix(p, c1, c2, math.exp(2.0 * u[0]))
+        return _band_matrix(p, *_zeta_coefs(u[0], u[0]))
     # model 4: symmetrized pair of varying-sparsity structures
     c1a, c2a, sa = _zeta_coefs(u[0], u[1])
     c1b, c2b, sb = _zeta_coefs(u[1], u[0])
@@ -173,8 +171,6 @@ def static_baseline(
     seed: int = 0,
 ) -> np.ndarray:
     """Sample covariance (denominator n) with cross-validated thresholding."""
-    if dataset.n < 2:
-        raise ValueError("static baseline needs n >= 2")
     return cv_threshold(
         _sample_cov(dataset.y),
         lambda idx: _sample_cov(dataset.y[idx]),
@@ -306,7 +302,9 @@ class MethodSpec:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One replicated experiment; ``seed`` drives every random stream of the run
-    (datasets, forests, CV folds), so ``forest.seed`` is not read."""
+    (datasets, forests, CV folds), so ``forest.seed`` is not read.  Every arm
+    cross-validates, so the folds must pass ``check_cv_folds`` at n rows, and a
+    forest arm's config must resolve at (n, d); both are checked here."""
 
     model: ModelSpec
     methods: tuple[MethodSpec, ...]
@@ -328,6 +326,9 @@ class ExperimentConfig:
             if method.name not in SIMULATE_METHODS:
                 raise ValueError(f"simulate supports only {SIMULATE_METHODS}, got {method.name!r}")
             method.check_covariate(self.model.d)
+        check_cv_folds(self.model.n, self.folds)
+        if any(m.forest for m in self.methods):
+            self.forest.resolve(self.model.n, self.model.d)
 
 
 @dataclass

@@ -139,9 +139,10 @@ def _cv_select(pairs, grid: np.ndarray, rule: ThresholdRule) -> LambdaSelection:
 def _fold_splits(order: np.ndarray, folds: int, seed: int):
     """Yield the sorted (train, held) row indices of each fold of a seeded V-fold split.
 
-    The folds partition ``order``, a permutation of the rows, after one
-    shuffle drawn from the seed's fold stream.
+    The folds, checked by ``check_cv_folds`` first, partition ``order``, a
+    permutation of the rows, after one shuffle drawn from the seed's fold stream.
     """
+    check_cv_folds(len(order), folds)
     perm = np.asarray(order)[_streams.substream(seed, _streams.FOLD).permutation(len(order))]
     for part in np.array_split(perm, folds):
         yield np.setdiff1d(perm, part), np.sort(part)
@@ -153,15 +154,12 @@ def cv_threshold(raw_full: np.ndarray, raw_fn, order: np.ndarray, rule: Threshol
 
     ``raw_fn`` maps sorted row indices to the raw estimate on those rows and
     ``raw_full`` is its value on all rows.  A content-based ``order`` makes
-    the selection invariant to permuting the sample rows.
+    the selection invariant to permuting the sample rows.  The folds must
+    pass ``check_cv_folds`` unless the grid is the single point 0.
     """
     grid = lambda_grid(raw_full, size=grid_size)
     if len(grid) == 1:  # no off-diagonal mass; nothing to tune
         return raw_full.copy()
-    n = len(order)
-    folds = min(folds, n // 2)
-    if folds < 2:
-        raise ValueError(f"n={n} too small for cross-validation")
     pairs = ((raw_fn(fit), raw_fn(held)) for fit, held in _fold_splits(order, folds, seed))
     return _cv_select(pairs, grid, rule).apply(raw_full)
 
@@ -178,11 +176,11 @@ CV_MIN_TRAIN_ROWS = 4
 
 
 def check_cv_folds(n: int, folds: int) -> None:
-    """Raise ValueError unless n rows allow ``ForestCV`` with ``folds`` folds.
+    """Raise ValueError unless n rows allow ``folds``-fold CV, in any cross-validated arm.
 
     Every fold must hold out at least 2 rows, and every fold's complement,
-    the rows its forests train on, needs CV_MIN_TRAIN_ROWS rows; the largest
-    fold, of ceil(n/folds) rows, leaves the smallest complement.
+    the rows a fold forest trains on, needs CV_MIN_TRAIN_ROWS rows; the
+    largest fold, of ceil(n/folds) rows, leaves the smallest complement.
     """
     if folds < 2:
         raise ValueError("need at least 2 folds")
@@ -217,7 +215,6 @@ class ForestCV:
         folds: int = 5,
         grid_size: int = 20,
     ):
-        check_cv_folds(dataset.n, folds)
         cfg = config.resolve(dataset.n, dataset.d)
         n_cv_trees = max(CV_MIN_TREES, cfg.n_trees // CV_TREE_DIVISOR)
         self.grid_size = grid_size

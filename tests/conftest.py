@@ -9,9 +9,11 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from dyncov import _streams
 from dyncov import forest as forest_module
 from dyncov.data import CsvFormatError, Dataset, _col_pos
 from dyncov.forest import Forest, _scan, _target_gram
+from dyncov.thresholding import _cv_select, lambda_grid
 
 
 def pytest_collection_modifyitems(items):
@@ -392,3 +394,22 @@ def reference_write_matrix_csv(path, matrix, header_lines=None):
             fh.write(f"# {line}\n")
         for row in np.asarray(matrix, dtype=float):
             fh.write(",".join(map(repr, row.tolist())) + "\n")
+
+
+def reference_cv_threshold(raw_full, raw_fn, order, rule, folds, grid_size, seed):
+    """The baseline CV that kept its own fold rule: it lowered ``folds`` to n // 2.
+
+    Kept, with the seeded V-fold split inlined, as the reference for every
+    fold count the shared rule ``check_cv_folds`` allows.
+    """
+    grid = lambda_grid(raw_full, size=grid_size)
+    if len(grid) == 1:  # no off-diagonal mass; nothing to tune
+        return raw_full.copy()
+    n = len(order)
+    folds = min(folds, n // 2)
+    if folds < 2:
+        raise ValueError(f"n={n} too small for cross-validation")
+    perm = np.asarray(order)[_streams.substream(seed, _streams.FOLD).permutation(n)]
+    splits = ((np.setdiff1d(perm, part), np.sort(part)) for part in np.array_split(perm, folds))
+    pairs = ((raw_fn(fit), raw_fn(held)) for fit, held in splits)
+    return _cv_select(pairs, grid, rule).apply(raw_full)

@@ -75,13 +75,27 @@ class TestSimulate:
         assert not out.with_suffix(".csv").exists()
 
     def test_too_few_rows_for_folds_is_usage_error(self, tmp_path, capsys):
-        # n=30 cannot hold 16 folds of two rows; only the forest methods run that CV.
+        # n=30 cannot hold 16 folds of two rows; every simulate arm runs that CV.
         out = tmp_path / "x"
         code = main(SIM_FLAGS + ["--methods", "fdcm:soft", "--folds", "16", "--out", str(out)])
         assert code == EXIT_USAGE
         assert "n=30 too small for 16-fold CV" in capsys.readouterr().err
         assert not out.with_suffix(".csv").exists()
-        assert main(SIM_FLAGS + ["--folds", "16", "--out", str(tmp_path / "static")]) == EXIT_OK
+        assert main(SIM_FLAGS + ["--folds", "16", "--out", str(tmp_path / "static")]) == EXIT_USAGE
+
+    def test_baseline_arm_too_few_rows_for_default_folds(self, tmp_path, capsys, monkeypatch):
+        # 8 rows cannot hold 5 folds of two rows; refused before a dataset is sampled.
+        def started(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(simulation, "sample_dataset", started)
+        out = tmp_path / "x"
+        code = main(["simulate", "--model", "1", "--p", "3", "--d", "2", "--n", "8", "--reps", "1",
+                     "--methods", "static:soft", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "n=8 too small for 5-fold CV" in capsys.readouterr().err
+        assert not out.with_suffix(".csv").exists()
+        assert not out.with_suffix(".txt").exists()
 
     def test_method_rule_defaults_to_soft(self, tmp_path):
         bodies = []
@@ -222,6 +236,24 @@ class TestEstimate:
         assert code == EXIT_USAGE
         assert "unknown thresholding rule 'bogus'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("which", ["train", "query"])
+    def test_directory_input_is_usage_error(self, tmp_path, capsys, monkeypatch, which):
+        def loaded(*args, **kwargs):
+            raise AssertionError("the directory was read")
+
+        monkeypatch.setattr(cli, "load_returns_csv", loaded)
+        train, query, _ = self._common(tmp_path)
+        paths = {"train": train, "query": query, which: tmp_path}
+        out_dir = tmp_path / "est"
+        code = main([
+            "estimate", "--train", str(paths["train"]), "--query", str(paths["query"]),
+            "--response-cols", "y1,y2,y3", "--covariate-cols", "u1,u2",
+            "--trees", "4", "--out-dir", str(out_dir),
+        ])
+        assert code == EXIT_USAGE
+        assert f"--{which} file not found: {tmp_path}" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("flags, message", [
         (["--folds", "7"], "n=12 too small for 7-fold CV"),
         (["--folds", "1"], "--folds must be >= 2, got 1"),
@@ -328,6 +360,31 @@ class TestBacktest:
         assert not out.with_suffix(".summary.txt").exists()
         code, _ = self._run(tmp_path, extra=extra, out="identity")
         assert code == EXIT_OK
+
+    def test_baseline_window_too_small_for_default_folds(self, tmp_path, capsys, monkeypatch):
+        # A window of 8 rows cannot hold 5 folds of two rows; refused before day 1.
+        def started(*args, **kwargs):
+            raise AssertionError("the static baseline ran")
+
+        monkeypatch.setattr(portfolio, "static_baseline", started)
+        code, out = self._run(tmp_path, extra=["--method", "static:soft", "--window", "8"])
+        assert code == EXIT_USAGE
+        assert "n=8 too small for 5-fold CV" in capsys.readouterr().err
+        for suffix in (".returns.csv", ".weights.csv", ".summary.txt"):
+            assert not out.with_suffix(suffix).exists()
+
+    def test_directory_panel_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        def loaded(*args, **kwargs):
+            raise AssertionError("the directory was read")
+
+        monkeypatch.setattr(cli, "load_returns_csv", loaded)
+        out = tmp_path / "bt"
+        code = main(["backtest", "--panel", str(tmp_path), "--response-cols", "y1,y2",
+                     "--covariate-cols", "u1,u2", "--method", "identity", "--window", "10",
+                     "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert f"--panel file not found: {tmp_path}" in capsys.readouterr().err
+        assert not out.with_suffix(".summary.txt").exists()
 
     def test_bad_panel_cell_is_usage_error(self, tmp_path, capsys):
         panel = tmp_path / "panel.csv"

@@ -76,6 +76,23 @@ class TestDataset:
         assert sub.dates == ("c", "a")
         np.testing.assert_array_equal(sub.y, [[4, 5], [0, 1]])
 
+    def test_subset_is_one_read_only_copy(self):
+        gen = np.random.default_rng(0)
+        ds = Dataset(gen.standard_normal((2000, 50)), gen.uniform(-1, 1, (2000, 2)))
+        rows = np.arange(ds.n)
+        tracemalloc.start()
+        try:
+            sub = ds.subset(rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        for part, whole in ((sub.y, ds.y), (sub.u, ds.u)):
+            assert not np.shares_memory(part, whole)
+            assert not part.flags.writeable
+            np.testing.assert_array_equal(part, whole)
+        # Fancy indexing already copies: a second copy would double the peak.
+        assert peak < 1.5 * (sub.y.nbytes + sub.u.nbytes)
+
 
 class TestCsvLoading:
     def test_column_counting(self, tmp_path):

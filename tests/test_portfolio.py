@@ -3,10 +3,11 @@ import pytest
 
 from dyncov.data import Dataset
 from dyncov.forest import ForestConfig
-from dyncov import portfolio
+from dyncov import forest, portfolio
 from dyncov.portfolio import (
     TRADING_DAYS_PER_YEAR,
     backtest,
+    check_backtest,
     check_backtest_method,
     min_var_weights,
     performance,
@@ -197,6 +198,37 @@ class TestBacktest:
         panel = _model_panel(26, p=3, d=2)
         with pytest.raises(ValueError, match=r"covariate index must be in 1\.\.2"):
             backtest(panel, MethodSpec.parse("mkernel:3:soft"), window=20)
+
+    @pytest.mark.parametrize("method", ["mfdcm:soft", "static:soft", "mkernel:1:soft"])
+    def test_too_few_window_rows_for_folds_refused_before_any_work(self, monkeypatch, method):
+        def started(*args, **kwargs):
+            raise AssertionError("work started")
+
+        for module, name in ((forest, "grow_tree"), (portfolio, "static_baseline"),
+                             (portfolio, "kernel_dcm_baseline")):
+            monkeypatch.setattr(module, name, started)
+        panel = _model_panel(12, p=3)
+        cfg = ForestConfig(n_trees=5, min_leaf=2)
+        with pytest.raises(ValueError, match="n=8 too small for 5-fold CV"):
+            backtest(panel, MethodSpec.parse(method), window=8, forest_config=cfg, folds=5)
+        backtest(panel, MethodSpec("identity"), window=8, folds=5)
+
+    def test_check_backtest_holds_every_rule(self):
+        spec, cfg = MethodSpec.parse("mfdcm:soft"), ForestConfig(min_leaf=2)
+        check_backtest(spec, 30, 2, 20, 1, cfg, 5)
+        for args, message in [
+            ((MethodSpec.parse("fdcm:soft"), 30, 2, 20, 1, cfg, 5), "supports only PD arms"),
+            ((MethodSpec.parse("mkernel:3:soft"), 30, 2, 20, 1, cfg, 5), "covariate index"),
+            ((spec, 20, 2, 20, 1, cfg, 5), "panel has 20 rows; needs more than window=20"),
+            ((spec, 30, 2, 1, 1, cfg, 5), "window must be >= 2"),
+            ((spec, 30, 2, 20, 0, cfg, 5), "stride must be >= 1"),
+            ((spec, 30, 2, 20, 1, cfg, 11), "n=20 too small for 11-fold CV"),
+            ((spec, 30, 2, 20, 1, ForestConfig(min_leaf=6), 5), "min_leaf=6 exceeds"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                check_backtest(*args)
+        check_backtest(MethodSpec("identity"), 30, 2, 20, 1, ForestConfig(min_leaf=6), 11)
+        check_backtest(MethodSpec.parse("static:soft"), 30, 2, 20, 1, ForestConfig(min_leaf=6), 5)
 
     def test_run_seed_drives_the_forests(self):
         panel = _model_panel(26, p=3)

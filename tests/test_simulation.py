@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dyncov import forest, simulation
 from dyncov.data import Dataset
 from dyncov.forest import ForestConfig
 from dyncov.simulation import (
@@ -375,6 +376,36 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=r"covariate index must be in 1\.\.2"):
             self._config(methods=("static:soft", "mkernel:3:soft"))
         self._config(methods=("kernel:2:soft",))
+
+    @pytest.mark.parametrize("methods, forest_cfg, folds, message", [
+        (("fdcm:soft", "static:soft", "kernel:1:soft"), ForestConfig(n_trees=5, min_leaf=2), 5,
+         "n=8 too small for 5-fold CV"),
+        (("static:soft",), ForestConfig(), 5, "n=8 too small for 5-fold CV"),
+        (("kernel:2:hard",), ForestConfig(), 5, "n=8 too small for 5-fold CV"),
+        (("fdcm:soft",), ForestConfig(n_trees=5, min_leaf=9, subsample_size=8), 2,
+         "min_leaf=9 exceeds the J2 half-sample size"),
+    ], ids=["forest-and-baselines", "static", "kernel", "infeasible-forest"])
+    def test_refused_before_any_work(self, monkeypatch, methods, forest_cfg, folds, message):
+        def started(*args, **kwargs):
+            raise AssertionError("work started")
+
+        for module, name in ((forest, "grow_tree"), (simulation, "sample_dataset"),
+                             (simulation, "static_baseline"), (simulation, "kernel_dcm_baseline")):
+            monkeypatch.setattr(module, name, started)
+        with pytest.raises(ValueError, match=message):
+            run_experiment(ExperimentConfig(
+                model=ModelSpec(model=1, p=3, d=2, n=8),
+                methods=tuple(MethodSpec.parse(m) for m in methods),
+                reps=1,
+                forest=forest_cfg,
+                folds=folds,
+            ))
+
+    def test_forest_config_checked_only_for_a_forest_arm(self):
+        infeasible = ForestConfig(n_trees=5, min_leaf=9)
+        with pytest.raises(ValueError, match="min_leaf=9 exceeds"):
+            replace(self._config(methods=("mfdcm:soft",)), forest=infeasible)
+        replace(self._config(), forest=infeasible)
 
     def test_run_seed_drives_the_forests(self):
         cfg = self._config(methods=("fdcm:soft",))

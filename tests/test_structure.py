@@ -76,3 +76,45 @@ def test_rule_catches_node_array_reads(tmp_path):
     assert [hit.split(" reads ")[1] for hit in _node_array_reads(src)] == [
         ".left", ".j1", ".members"
     ]
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names a module imports but never reads; ``from __future__`` imports are directives."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(name, node.lineno)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line} imports unused {name}" for name, line in imported.items()
+            if name not in used]
+
+
+def test_no_module_imports_an_unused_name():
+    # __init__.py is the package's re-export surface: it imports to export.
+    found = [
+        hit
+        for path in sorted(PKG.glob("*.py"))
+        if path.name != "__init__.py"
+        for hit in _unused_imports(path)
+    ]
+    assert found == []
+
+
+def test_rule_catches_unused_imports(tmp_path):
+    src = tmp_path / "probe.py"
+    src.write_text(
+        "from __future__ import annotations\n"
+        "import os\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "from .thresholding import shrink, pd_correct as correct, ForestCV\n"
+        "\n"
+        "def f(x: ForestCV) -> float:\n"
+        "    return np.sum(shrink(x, 0.1, None))\n"
+    )
+    assert [hit.split(" imports unused ")[1] for hit in _unused_imports(src)] == ["os", "correct"]

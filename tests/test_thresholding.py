@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyncov.covariance import raw_cov, train_cov_forests
@@ -11,12 +11,15 @@ from dyncov.thresholding import (
     ForestCV,
     LambdaSelection,
     ThresholdRule,
+    check_cv_folds,
+    cv_threshold,
     default_cn,
     lambda_grid,
     pd_correct,
     precision,
     shrink,
 )
+from tests.conftest import reference_cv_threshold
 
 RULES = [
     ThresholdRule("hard"),
@@ -266,6 +269,37 @@ class TestSelectLambda:
         ds = Dataset(gen.standard_normal((6, 2)), gen.uniform(-1, 1, (6, 1)))
         with pytest.raises(ValueError):
             ForestCV(ds, ForestConfig(n_trees=5, min_leaf=1), folds=5)
+
+
+def _sample_cov(y):
+    centered = y - y.mean(axis=0)
+    return centered.T @ centered / len(y)
+
+
+class TestCvThreshold:
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 24), p=st.integers(1, 5), folds=st.integers(1, 8),
+           grid_size=st.sampled_from([0, 1, 20]), rule=st.sampled_from(RULES),
+           seed=st.integers(0, 2**32 - 1))
+    def test_one_fold_rule_and_the_reference_selection(self, n, p, folds, grid_size, rule, seed):
+        # Where check_cv_folds allows the folds, or the grid is the single
+        # point 0 with nothing to tune, the selection is the reference's bit
+        # for bit; anywhere else the baseline CV refuses them.
+        gen = np.random.default_rng(seed)
+        y = gen.standard_normal((n, p))
+        args = (_sample_cov(y), lambda idx: _sample_cov(y[idx]), gen.permutation(n), rule,
+                folds, grid_size, seed)
+        try:
+            check_cv_folds(n, folds)
+            allowed = True
+        except ValueError:
+            allowed = False
+        if allowed or len(lambda_grid(args[0], size=grid_size)) == 1:
+            got, want = cv_threshold(*args), reference_cv_threshold(*args)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        else:
+            with pytest.raises(ValueError, match="too small for|need at least 2 folds"):
+                cv_threshold(*args)
 
 
 class TestPdCorrect:
