@@ -61,7 +61,7 @@ class Setting(NamedTuple):
 
 
 _COMMON = (
-    Setting("seed", int, 0),
+    Setting("seed", int, 0, minimum=0),
     Setting("workers", int, 1, "has no effect: training is serial", minimum=1),
     Setting("trees", int, 500, forest_field="n_trees"),
     Setting("subsample", int, 0, "0 means ceil(n/2)", minimum=0),
@@ -179,7 +179,6 @@ def _forest_config(cfg: dict) -> ForestConfig:
         regularity=cfg["omega"],
         random_split_prob=cfg["random-split-prob"],
         mtry=cfg["mtry"] if cfg["mtry"] > 0 else None,
-        seed=cfg["seed"],
     )
 
 
@@ -237,10 +236,10 @@ def cmd_estimate(cfg: dict) -> int:
         if cfg["stage"] != "raw":
             check_cv_folds(dataset.n, cfg["folds"])
         forest_cfg = _forest_config(cfg).resolve(dataset.n, dataset.d)
-    forests = train_cov_forests(dataset, forest_cfg)
+    forests = train_cov_forests(dataset, forest_cfg, cfg["seed"])
     cv = None
     if cfg["stage"] != "raw":
-        cv = ForestCV(dataset, forest_cfg, folds=cfg["folds"], grid_size=cfg["grid-size"])
+        cv = ForestCV(dataset, forest_cfg, cfg["seed"], folds=cfg["folds"], grid_size=cfg["grid-size"])
 
     out_dir = Path(cfg["out-dir"])
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -52,11 +52,11 @@ def raw_cov(
     return second - np.outer(mean, mean)
 
 
-def train_cov_forests(dataset: Dataset, config: ForestConfig) -> tuple[Forest, Forest]:
-    """Train the mean and the second-moment forest for raw_cov, mean first."""
+def train_cov_forests(dataset: Dataset, config: ForestConfig, seed: int) -> tuple[Forest, Forest]:
+    """Train the mean and the second-moment forest for raw_cov, mean first, from ``seed``."""
     return (
-        train_forest(dataset, config, ResponseKind.MEAN),
-        train_forest(dataset, config, ResponseKind.SECOND_MOMENT),
+        train_forest(dataset, config, ResponseKind.MEAN, seed),
+        train_forest(dataset, config, ResponseKind.SECOND_MOMENT, seed),
     )
 
 

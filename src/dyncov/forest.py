@@ -63,7 +63,7 @@ class ResponseKind(enum.Enum):
 
 @dataclass(frozen=True)
 class ForestConfig:
-    """Tuning knobs for honest-forest training.
+    """Tuning knobs for honest-forest training; the seed is ``train_forest``'s argument.
 
     ``subsample_size=None`` resolves to ceil(n/2) and ``mtry=None`` to
     ceil(sqrt(d)) at training time.
@@ -75,14 +75,21 @@ class ForestConfig:
     regularity: float = 0.05
     random_split_prob: float = 0.05
     mtry: int | None = None
-    seed: int = 0
 
     def resolve(self, n: int, d: int) -> "ForestConfig":
+        """``check``, then s and mtry filled in and checked for n rows of dimension d."""
+        self.check()
         s = self.subsample_size if self.subsample_size is not None else math.ceil(n / 2)
         mtry = self.mtry if self.mtry is not None else math.ceil(math.sqrt(d))
-        cfg = replace(self, subsample_size=s, mtry=mtry)
-        cfg.validate(n, d)
-        return cfg
+        if not 2 <= s <= n:
+            raise ValueError(f"subsample size must satisfy 2 <= s <= n, got s={s}, n={n}")
+        if self.min_leaf > s // 2:
+            raise ValueError(
+                f"min_leaf={self.min_leaf} exceeds the J2 half-sample size floor(s/2)={s // 2} (s={s})"
+            )
+        if not 1 <= mtry <= d:
+            raise ValueError(f"mtry must satisfy 1 <= mtry <= d, got {mtry}, d={d}")
+        return replace(self, subsample_size=s, mtry=mtry)
 
     def check(self) -> None:
         """The rules that hold whatever the data: at least one tree, a leaf
@@ -99,19 +106,6 @@ class ForestConfig:
             raise ValueError(
                 f"random_split_prob must be finite and lie in (0, 1], got {self.random_split_prob}"
             )
-
-    def validate(self, n: int, d: int) -> None:
-        """``check``, plus the rules that depend on n rows of dimension d."""
-        self.check()
-        s, mtry = self.subsample_size, self.mtry
-        if s is None or not 2 <= s <= n:
-            raise ValueError(f"subsample size must satisfy 2 <= s <= n, got s={s}, n={n}")
-        if self.min_leaf > s // 2:
-            raise ValueError(
-                f"min_leaf={self.min_leaf} exceeds the J2 half-sample size floor(s/2)={s // 2} (s={s})"
-            )
-        if mtry is None or not 1 <= mtry <= d:
-            raise ValueError(f"mtry must satisfy 1 <= mtry <= d, got {mtry}, d={d}")
 
 
 @dataclass
@@ -400,17 +394,19 @@ def grow_tree(
     )
 
 
-def train_forest(dataset: Dataset, config: ForestConfig, response_kind: ResponseKind) -> Forest:
+def train_forest(
+    dataset: Dataset, config: ForestConfig, response_kind: ResponseKind, seed: int
+) -> Forest:
     """Train B honest trees on independent subsamples, one after another.
 
-    Each tree draws from its own RNG stream keyed on (seed, kind, tree index),
-    so no tree's draws depend on the order the trees are grown in.
+    Each tree draws from its own RNG stream keyed on (``seed``, kind, tree
+    index), so no tree's draws depend on the order the trees are grown in.
     """
     cfg = config.resolve(dataset.n, dataset.d)
     kind_tag = 0 if response_kind is ResponseKind.MEAN else 1
     trees = []
     for b in range(cfg.n_trees):
-        rng = _streams.substream(cfg.seed, _streams.TREE, kind_tag, b)
+        rng = _streams.substream(seed, _streams.TREE, kind_tag, b)
         j1, j2 = split_sample(subsample(dataset.n, cfg.subsample_size, rng), rng)
         trees.append(grow_tree(dataset, j1, j2, response_kind, cfg, rng))
     return Forest.concat(trees)

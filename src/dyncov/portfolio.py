@@ -11,7 +11,7 @@ no non-PD estimate is ever used.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,7 +79,7 @@ def check_backtest_method(spec: MethodSpec) -> None:
 
 
 def check_backtest(spec: MethodSpec, n: int, d: int, window: int, stride: int,
-                   forest_config: ForestConfig | None, folds: int) -> None:
+                   forest_config: ForestConfig, folds: int) -> None:
     """Raise ValueError unless ``backtest`` can run ``spec`` on n panel rows of d
     covariates: every arm but ``identity`` cross-validates on ``window`` rows,
     and a forest arm's config must resolve there."""
@@ -94,14 +94,14 @@ def check_backtest(spec: MethodSpec, n: int, d: int, window: int, stride: int,
     if spec.name != "identity":
         check_cv_folds(window, folds)
     if spec.forest:
-        (forest_config or ForestConfig()).resolve(window, d)
+        forest_config.resolve(window, d)
 
 
 def backtest(
     panel: Dataset,
     spec: MethodSpec,
     window: int = 100,
-    forest_config: ForestConfig | None = None,
+    forest_config: ForestConfig = ForestConfig(),
     folds: int = 5,
     grid_size: int = 20,
     stride: int = 1,
@@ -113,8 +113,8 @@ def backtest(
     day with that day's asset returns; weights for row i are computed from
     rows [i - window, i) only.  With ``stride`` m > 1 forests are retrained
     every m days and re-queried at the new factor vector in between.
-    ``seed`` drives every random stream of the run, the forests' and the CV
-    folds', so ``forest_config.seed`` is not read.  Settings that
+    ``forest_config`` shapes the forests, and ``seed`` drives every random
+    stream of the run, the forests' and the CV folds'.  Settings that
     ``check_backtest`` refuses raise before day 1.
     """
     check_backtest(spec, panel.n, panel.d, window, stride, forest_config, folds)
@@ -125,9 +125,6 @@ def backtest(
             "PD correction makes the backtest proceed",
             stacklevel=2,
         )
-
-    if spec.forest:
-        cfg = replace((forest_config or ForestConfig()).resolve(window, panel.d), seed=seed)
 
     daily = np.empty(T - window)
     weights = np.empty((T - window, p))
@@ -140,8 +137,8 @@ def backtest(
             if spec.forest:
                 if step % stride == 0:
                     fit = train
-                    forests = train_cov_forests(fit, cfg)
-                    cv = ForestCV(fit, cfg, folds=folds, grid_size=grid_size)
+                    forests = train_cov_forests(fit, forest_config, seed)
+                    cv = ForestCV(fit, forest_config, seed, folds=folds, grid_size=grid_size)
                 raw = raw_cov(*forests, fit, u)
                 mat = cv.select(u, spec.rule, raw).apply(raw)
             elif spec.name == "static":

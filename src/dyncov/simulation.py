@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -301,8 +301,8 @@ class MethodSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One replicated experiment; ``seed`` drives every random stream of the run
-    (datasets, forests, CV folds), so ``forest.seed`` is not read.  Every arm
+    """One replicated experiment; ``forest`` shapes the forests, and ``seed``
+    drives every random stream of the run (datasets, forests, CV folds).  Every arm
     cross-validates, so the folds must pass ``check_cv_folds`` at n rows, and a
     forest arm's config must resolve at (n, d); both are checked here."""
 
@@ -385,9 +385,8 @@ def _forest_estimates(
     rules: list[ThresholdRule],
 ) -> dict[ThresholdRule, list[np.ndarray]]:
     """Thresholded forest estimates at every query point, one list per rule."""
-    forest = replace(config.forest, seed=config.seed)
-    forests = train_cov_forests(dataset, forest)
-    cv = ForestCV(dataset, forest, folds=config.folds, grid_size=config.grid_size)
+    forests = train_cov_forests(dataset, config.forest, config.seed)
+    cv = ForestCV(dataset, config.forest, config.seed, folds=config.folds, grid_size=config.grid_size)
     raws = [raw_cov(*forests, dataset, u) for u in points]
     out: dict[ThresholdRule, list[np.ndarray]] = {}
     for rule in rules:
@@ -400,11 +399,10 @@ def _forest_estimates(
     return out
 
 
-def _run_rep(config: ExperimentConfig, points: np.ndarray, rep: int):
+def _run_rep(config: ExperimentConfig, points: np.ndarray, truths: list[np.ndarray], rep: int):
     """One replication: fresh dataset, every method estimated at every point."""
     rng = _streams.substream(config.seed, _streams.REP, rep)
     dataset = sample_dataset(config.model, rng)
-    truths = [true_cov(config.model, u) for u in points]
 
     forest_rules = sorted({m.rule for m in config.methods if m.forest}, key=str)
     forest_ests = (
@@ -445,7 +443,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run the replicated benchmark; fully reproducible from the seed."""
     start = time.perf_counter()
     points = test_points(config.model.d)
-    reps = [_run_rep(config, points, r) for r in range(config.reps)]
+    truths = [true_cov(config.model, u) for u in points]
+    reps = [_run_rep(config, points, truths, r) for r in range(config.reps)]
 
     sparsity_models = config.model.model in (3, 4)
     results = []

@@ -205,13 +205,15 @@ class ForestCV:
     Fold forests are trained once (with a reduced tree count, since tuning
     needs ranking fidelity rather than final precision) and reused for every
     query point: scoring a candidate lambda at u only requires evaluating the
-    per-fold raw estimates there.
+    per-fold raw estimates there.  ``seed`` draws the fold split and every
+    fold forest.
     """
 
     def __init__(
         self,
         dataset: Dataset,
         config: ForestConfig,
+        seed: int,
         folds: int = 5,
         grid_size: int = 20,
     ):
@@ -219,13 +221,13 @@ class ForestCV:
         n_cv_trees = max(CV_MIN_TREES, cfg.n_trees // CV_TREE_DIVISOR)
         self.grid_size = grid_size
         self._pairs = []
-        for train_idx, fold in _fold_splits(np.arange(dataset.n), folds, cfg.seed):
+        for train_idx, fold in _fold_splits(np.arange(dataset.n), folds, seed):
             train_ds = dataset.subset(train_idx)
             hold_ds = dataset.subset(fold)
             train_cfg = _subset_config(cfg, len(train_idx), dataset.n, n_cv_trees)
             hold_cfg = _subset_config(cfg, len(fold), dataset.n, n_cv_trees)
-            train_forests = train_cov_forests(train_ds, train_cfg)
-            hold_forests = train_cov_forests(hold_ds, hold_cfg)
+            train_forests = train_cov_forests(train_ds, train_cfg, seed)
+            hold_forests = train_cov_forests(hold_ds, hold_cfg, seed)
             self._pairs.append(((train_forests, train_ds), (hold_forests, hold_ds)))
 
     def select(self, u: np.ndarray, rule: ThresholdRule, raw: np.ndarray) -> LambdaSelection:

@@ -314,10 +314,10 @@ def reference_grow_tree(dataset, j1, j2, response_kind, config, rng):
     )
 
 
-def reference_forest(dataset, config, response_kind):
+def reference_forest(dataset, config, response_kind, seed):
     """``train_forest`` with every tree grown by ``reference_grow_tree``."""
     with mock.patch.object(forest_module, "grow_tree", reference_grow_tree):
-        return forest_module.train_forest(dataset, config, response_kind)
+        return forest_module.train_forest(dataset, config, response_kind, seed)
 
 
 def reference_read_numeric_csv(path, text_col=None):

@@ -153,11 +153,10 @@ def test_criterion_02_weight_oracle():
                 subsample_size=int(rng.integers(4, n + 1)),
                 min_leaf=1,
                 mtry=1,
-                seed=case,
             )
             kind = ResponseKind.MEAN if case % 2 else ResponseKind.SECOND_MOMENT
             ds = make_dataset(n=n, p=p, d=d, seed=1000 + case)
-            forest = train_forest(ds, cfg, kind)
+            forest = train_forest(ds, cfg, kind, case)
             j2_union = set()
             for tree in trees(forest):
                 assert not set(tree.j1[0]) & set(j2_indices(tree))
@@ -340,7 +339,7 @@ def test_criterion_09_portfolio_properties():
         wins = 0
         for seed in range(5):
             px = _panel(T=260, p=20, d=5, seed=seed)
-            cfg = ForestConfig(n_trees=200, seed=seed)
+            cfg = ForestConfig(n_trees=200)
             dynamic = backtest(
                 px, MethodSpec.parse("mfdcm:soft"), window=200,
                 forest_config=cfg, folds=5, stride=5, seed=seed,

@@ -432,7 +432,7 @@ class TestBacktest:
 class TestSettings:
     @pytest.mark.parametrize("line, key", [
         ("trees=abc", "trees"), ("trees=", "trees"), ("folds=1", "folds"),
-        ("model=9", "model"), ("lambda-mode=all", "lambda-mode"),
+        ("model=9", "model"), ("lambda-mode=all", "lambda-mode"), ("seed=-1", "seed"),
     ])
     def test_bad_config_value_names_file_line_and_key(self, tmp_path, capsys, line, key):
         cfg = tmp_path / "run.cfg"
@@ -452,7 +452,11 @@ class TestSettings:
         (["backtest", "--lag", "-1"], "--lag must be >= 0, got -1"),
         (["backtest", "--stride", "0"], "--stride must be >= 1, got 0"),
         (["backtest", "--window", "1"], "--window must be >= 2, got 1"),
-    ], ids=["estimate-lag", "backtest-lag", "stride", "window"])
+        (["simulate", "--seed", "-1"], "--seed must be >= 0, got -1"),
+        (["estimate", "--seed", "-1"], "--seed must be >= 0, got -1"),
+        (["backtest", "--seed", "-1"], "--seed must be >= 0, got -1"),
+    ], ids=["estimate-lag", "backtest-lag", "stride", "window", "simulate-seed", "estimate-seed",
+            "backtest-seed"])
     def test_ranges_checked_before_loading(self, tmp_path, capsys, monkeypatch, argv, message):
         self._refused_before_loading(tmp_path, capsys, monkeypatch, argv, message)
 

@@ -22,7 +22,7 @@ from tests.conftest import (
     tree_view,
 )
 
-UNIFORM_CFG = ForestConfig(n_trees=1, subsample_size=4, min_leaf=2, mtry=1, seed=0)
+UNIFORM_CFG = ForestConfig(n_trees=1, subsample_size=4, min_leaf=2, mtry=1)
 
 
 def _uniform_leaf_setup():
@@ -35,7 +35,7 @@ def _uniform_leaf_setup():
 class TestCondMean:
     def test_uniform_leaf_average(self):
         ds = _uniform_leaf_setup()
-        forest = train_forest(ds, UNIFORM_CFG, ResponseKind.MEAN)
+        forest = train_forest(ds, UNIFORM_CFG, ResponseKind.MEAN, 0)
         # One leaf with two J2 members: plain average of their responses.
         j2 = j2_indices(tree_view(forest, 0))
         expected = ds.y[j2].mean(axis=0)
@@ -44,14 +44,14 @@ class TestCondMean:
     def test_constant_responses(self):
         c = np.array([2.0, -1.0])
         ds = Dataset(np.tile(c, (20, 1)), np.random.default_rng(0).uniform(-1, 1, (20, 1)))
-        forest = train_forest(ds, ForestConfig(n_trees=5, min_leaf=2, seed=0), ResponseKind.MEAN)
+        forest = train_forest(ds, ForestConfig(n_trees=5, min_leaf=2), ResponseKind.MEAN, 0)
         for u in ([-0.5], [0.0], [0.9]):
             np.testing.assert_allclose(cond_mean(forest, ds, np.array(u)), c, atol=1e-14)
 
     def test_kind_guard(self):
         ds = make_dataset(n=10, p=2, d=1, seed=0)
-        forest = train_forest(ds, ForestConfig(n_trees=1, min_leaf=2, seed=0),
-                              ResponseKind.SECOND_MOMENT)
+        forest = train_forest(ds, ForestConfig(n_trees=1, min_leaf=2),
+                              ResponseKind.SECOND_MOMENT, 0)
         with pytest.raises(ValueError):
             cond_mean(forest, ds, np.zeros(1))
 
@@ -59,29 +59,29 @@ class TestCondMean:
 class TestCondSecondMoment:
     def test_average_of_squares(self):
         ds = Dataset(np.array([[1.0], [-1.0], [1.0], [-1.0]]), np.full((4, 1), 0.5))
-        forest = train_forest(ds, UNIFORM_CFG, ResponseKind.SECOND_MOMENT)
+        forest = train_forest(ds, UNIFORM_CFG, ResponseKind.SECOND_MOMENT, 0)
         out = cond_second_moment(forest, ds, np.array([0.5]))
         np.testing.assert_allclose(out, [[1.0]])
 
     def test_single_outer_product(self):
         y = np.array([1.0, 2.0])
         ds = Dataset(np.tile(y, (8, 1)), np.random.default_rng(1).uniform(-1, 1, (8, 1)))
-        forest = train_forest(ds, ForestConfig(n_trees=3, min_leaf=2, seed=0),
-                              ResponseKind.SECOND_MOMENT)
+        forest = train_forest(ds, ForestConfig(n_trees=3, min_leaf=2),
+                              ResponseKind.SECOND_MOMENT, 0)
         out = cond_second_moment(forest, ds, np.array([0.2]))
         np.testing.assert_allclose(out, [[1.0, 2.0], [2.0, 4.0]])
 
     def test_symmetric(self):
         ds = make_dataset(n=40, p=4, d=2, seed=5)
-        forest = train_forest(ds, ForestConfig(n_trees=10, min_leaf=3, seed=0),
-                              ResponseKind.SECOND_MOMENT)
+        forest = train_forest(ds, ForestConfig(n_trees=10, min_leaf=3),
+                              ResponseKind.SECOND_MOMENT, 0)
         out = cond_second_moment(forest, ds, np.array([0.1, 0.1]))
         np.testing.assert_array_equal(out, out.T)
 
     def test_diagonal_nonnegative(self):
         ds = make_dataset(n=40, p=3, d=2, seed=6)
-        forest = train_forest(ds, ForestConfig(n_trees=10, min_leaf=3, seed=0),
-                              ResponseKind.SECOND_MOMENT)
+        forest = train_forest(ds, ForestConfig(n_trees=10, min_leaf=3),
+                              ResponseKind.SECOND_MOMENT, 0)
         rng = np.random.default_rng(2)
         for _ in range(10):
             out = cond_second_moment(forest, ds, rng.uniform(-1, 1, 2))
@@ -91,7 +91,7 @@ class TestCondSecondMoment:
 class TestRawCov:
     def test_hand_example_p1(self):
         ds = Dataset(np.array([[1.0], [-1.0], [1.0], [-1.0]]), np.full((4, 1), 0.5))
-        mean_f, sm_f = train_cov_forests(ds, UNIFORM_CFG)
+        mean_f, sm_f = train_cov_forests(ds, UNIFORM_CFG, 0)
         est = raw_cov(mean_f, sm_f, ds, np.array([0.5]))
         # Single unsplittable leaf: second moment 1, mean 0 (even J2 split of +-1)
         # or +-1 mean when the J2 half is unbalanced; both forests share the
@@ -106,7 +106,7 @@ class TestRawCov:
     def test_constant_responses_zero_matrix(self):
         c = np.array([3.0, 1.0, -2.0])
         ds = Dataset(np.tile(c, (20, 1)), np.random.default_rng(3).uniform(-1, 1, (20, 1)))
-        forests = train_cov_forests(ds, ForestConfig(n_trees=5, min_leaf=2, seed=0))
+        forests = train_cov_forests(ds, ForestConfig(n_trees=5, min_leaf=2), 0)
         est = raw_cov(*forests, ds, np.array([0.0]))
         np.testing.assert_allclose(est, np.zeros((3, 3)), atol=1e-12)
 
@@ -114,7 +114,7 @@ class TestRawCov:
         # Literal evaluation with explicit dense weight vectors from the
         # independent routing reference.
         ds = make_dataset(n=25, p=3, d=2, seed=10)
-        forests = train_cov_forests(ds, ForestConfig(n_trees=3, min_leaf=2, seed=7))
+        forests = train_cov_forests(ds, ForestConfig(n_trees=3, min_leaf=2), 7)
         rng = np.random.default_rng(0)
         for _ in range(5):
             u = rng.uniform(-1, 1, 2)
@@ -128,7 +128,7 @@ class TestRawCov:
 
     def test_symmetric_over_query_grid(self):
         ds = make_dataset(n=40, p=4, d=2, seed=11)
-        forests = train_cov_forests(ds, ForestConfig(n_trees=8, min_leaf=3, seed=1))
+        forests = train_cov_forests(ds, ForestConfig(n_trees=8, min_leaf=3), 1)
         rng = np.random.default_rng(4)
         for _ in range(10):
             m = raw_cov(*forests, ds, rng.uniform(-1, 1, 2))
@@ -137,7 +137,7 @@ class TestRawCov:
     def test_fingerprint_guard(self):
         ds = make_dataset(n=20, p=2, d=1, seed=0)
         other = make_dataset(n=20, p=2, d=1, seed=1)
-        forests = train_cov_forests(ds, ForestConfig(n_trees=2, min_leaf=2, seed=0))
+        forests = train_cov_forests(ds, ForestConfig(n_trees=2, min_leaf=2), 0)
         with pytest.raises(ValueError):
             raw_cov(*forests, other, np.zeros(1))
 
@@ -146,11 +146,11 @@ class TestRawCov:
         # with fixed seeds the trees route training points identically and the
         # raw estimate at any training covariate vector is unchanged.
         ds = make_dataset(n=40, p=3, d=2, seed=13)
-        cfg = ForestConfig(n_trees=10, min_leaf=3, seed=3)
-        forests = train_cov_forests(ds, cfg)
+        cfg = ForestConfig(n_trees=10, min_leaf=3)
+        forests = train_cov_forests(ds, cfg, 3)
         u2 = np.stack([ds.u[:, 0] ** 3, np.exp(ds.u[:, 1])], axis=1)
         ds2 = Dataset(ds.y.copy(), u2)
-        forests2 = train_cov_forests(ds2, cfg)
+        forests2 = train_cov_forests(ds2, cfg, 3)
         for i in (0, 7, 23):
             a = raw_cov(*forests, ds, ds.u[i])
             b = raw_cov(*forests2, ds2, ds2.u[i])

@@ -117,7 +117,7 @@ def _naive_best_split_1d(y, v1, v2, min_child_j2, kind):
 class TestBestSplit:
     def _config(self, **kw):
         base = dict(n_trees=1, subsample_size=8, min_leaf=1, regularity=0.05,
-                    random_split_prob=1e-12, mtry=1, seed=0)
+                    random_split_prob=1e-12, mtry=1)
         base.update(kw)
         return ForestConfig(**base)
 
@@ -222,8 +222,8 @@ class TestSplitSearchIdentity:
             u = np.where(np.arange(d) % 2, -ds.u[:, :1], ds.u[:, :1])
         ds = Dataset(ds.y, u)
         cfg = ForestConfig(n_trees=3, min_leaf=min_leaf, random_split_prob=random_split_prob,
-                           mtry=min(mtry, d), seed=seed)
-        assert same_forest(train_forest(ds, cfg, kind), reference_forest(ds, cfg, kind))
+                           mtry=min(mtry, d))
+        assert same_forest(train_forest(ds, cfg, kind, seed), reference_forest(ds, cfg, kind, seed))
 
 
 class TestScanWorkspace:
@@ -287,7 +287,7 @@ def _j2_count_below(tree, nid):
 class TestGrowTree:
     def test_forced_single_leaf(self):
         ds = make_dataset(n=10, p=2, d=1, seed=1)
-        cfg = ForestConfig(n_trees=1, subsample_size=10, min_leaf=5, mtry=1, seed=0)
+        cfg = ForestConfig(n_trees=1, subsample_size=10, min_leaf=5, mtry=1)
         tree = grow_tree(ds, np.arange(5), np.arange(5, 10), ResponseKind.MEAN,
                          cfg, np.random.default_rng(0))
         # |J2| = 5 = k: no feasible split, all of J2 in the root leaf.
@@ -301,7 +301,7 @@ class TestGrowTree:
         j1 = np.arange(0, 16, 2)
         j2 = np.arange(1, 16, 2)
         cfg = ForestConfig(n_trees=1, subsample_size=16, min_leaf=4, mtry=1,
-                           random_split_prob=1e-12, seed=0)
+                           random_split_prob=1e-12)
         tree = grow_tree(ds, j1, j2, ResponseKind.MEAN, cfg, np.random.default_rng(0))
         assert tree.feature[0] == 0
         assert 0.2 < tree.threshold[0] < 0.8
@@ -315,7 +315,7 @@ class TestGrowTree:
         y2 = ds.y.copy()
         y2[j2] = 0.0
         ds2 = Dataset(y2, ds.u)
-        cfg = ForestConfig(n_trees=1, subsample_size=24, min_leaf=2, mtry=2, seed=0)
+        cfg = ForestConfig(n_trees=1, subsample_size=24, min_leaf=2, mtry=2)
         t1 = grow_tree(ds, j1, j2, ResponseKind.SECOND_MOMENT, cfg, np.random.default_rng(5))
         t2 = grow_tree(ds2, j1, j2, ResponseKind.SECOND_MOMENT, cfg, np.random.default_rng(5))
         np.testing.assert_array_equal(t1.feature, t2.feature)
@@ -325,7 +325,7 @@ class TestGrowTree:
 
     def test_returns_one_tree_forest(self):
         ds = make_dataset(n=24, p=2, d=2, seed=2)
-        cfg = ForestConfig(n_trees=7, subsample_size=24, min_leaf=2, mtry=2, seed=0)
+        cfg = ForestConfig(n_trees=7, subsample_size=24, min_leaf=2, mtry=2)
         j1, j2 = np.arange(0, 24, 2), np.arange(1, 24, 2)
         tree = grow_tree(ds, j1, j2, ResponseKind.MEAN, cfg, np.random.default_rng(0))
         assert isinstance(tree, Forest) and tree.n_trees == 1
@@ -339,7 +339,7 @@ class TestGrowTree:
 
     def test_j2_too_small(self):
         ds = make_dataset(n=6, p=1, d=1, seed=0)
-        cfg = ForestConfig(n_trees=1, subsample_size=6, min_leaf=4, mtry=1, seed=0)
+        cfg = ForestConfig(n_trees=1, subsample_size=6, min_leaf=4, mtry=1)
         with pytest.raises(ValueError):
             grow_tree(ds, np.arange(3), np.arange(3, 6), ResponseKind.MEAN,
                       cfg, np.random.default_rng(0))
@@ -347,8 +347,8 @@ class TestGrowTree:
     def test_structural_invariants(self):
         ds = make_dataset(n=80, p=3, d=2, seed=3)
         cfg = ForestConfig(n_trees=20, subsample_size=60, min_leaf=3,
-                           regularity=0.1, mtry=2, seed=11)
-        forest = train_forest(ds, cfg, ResponseKind.SECOND_MOMENT)
+                           regularity=0.1, mtry=2)
+        forest = train_forest(ds, cfg, ResponseKind.SECOND_MOMENT, 11)
         for tree in trees(forest):
             k = cfg.min_leaf
             assert set(tree.j1[0]) & set(j2_indices(tree)) == set()
@@ -376,35 +376,35 @@ class TestGrowTree:
 class TestTrainForest:
     def test_single_tree(self):
         ds = make_dataset(n=12, p=2, d=1, seed=0)
-        cfg = ForestConfig(n_trees=1, min_leaf=2, seed=0)
-        forest = train_forest(ds, cfg, ResponseKind.MEAN)
+        cfg = ForestConfig(n_trees=1, min_leaf=2)
+        forest = train_forest(ds, cfg, ResponseKind.MEAN, 0)
         assert forest.n_trees == 1
 
     def test_same_seed_identical(self):
         ds = make_dataset(n=30, p=2, d=2, seed=0)
-        cfg = ForestConfig(n_trees=8, min_leaf=2, seed=21)
-        a = train_forest(ds, cfg, ResponseKind.MEAN)
-        b = train_forest(ds, cfg, ResponseKind.MEAN)
+        cfg = ForestConfig(n_trees=8, min_leaf=2)
+        a = train_forest(ds, cfg, ResponseKind.MEAN, 21)
+        b = train_forest(ds, cfg, ResponseKind.MEAN, 21)
         assert same_forest(a, b)
 
     def test_mean_and_second_moment_streams_differ(self):
         ds = make_dataset(n=30, p=2, d=2, seed=0)
-        cfg = ForestConfig(n_trees=4, min_leaf=2, seed=0)
-        a = train_forest(ds, cfg, ResponseKind.MEAN)
-        b = train_forest(ds, cfg, ResponseKind.SECOND_MOMENT)
+        cfg = ForestConfig(n_trees=4, min_leaf=2)
+        a = train_forest(ds, cfg, ResponseKind.MEAN, 0)
+        b = train_forest(ds, cfg, ResponseKind.SECOND_MOMENT, 0)
         # Compare the trees, not just the response-kind tag.
         assert not same_forest(a, dataclasses.replace(b, response_kind=a.response_kind))
 
     def test_config_validation(self):
         ds = make_dataset(n=10, p=1, d=1, seed=0)
         with pytest.raises(ValueError):
-            train_forest(ds, ForestConfig(n_trees=0), ResponseKind.MEAN)
+            train_forest(ds, ForestConfig(n_trees=0), ResponseKind.MEAN, 0)
+        with pytest.raises(ValueError, match="subsample size must satisfy"):
+            train_forest(ds, ForestConfig(subsample_size=11), ResponseKind.MEAN, 0)
         with pytest.raises(ValueError):
-            train_forest(ds, ForestConfig(subsample_size=11), ResponseKind.MEAN)
-        with pytest.raises(ValueError):
-            train_forest(ds, ForestConfig(regularity=0.5), ResponseKind.MEAN)
-        with pytest.raises(ValueError):
-            train_forest(ds, ForestConfig(mtry=3), ResponseKind.MEAN)
+            train_forest(ds, ForestConfig(regularity=0.5), ResponseKind.MEAN, 0)
+        with pytest.raises(ValueError, match="mtry must satisfy"):
+            train_forest(ds, ForestConfig(mtry=3, min_leaf=2), ResponseKind.MEAN, 0)
 
 
 class TestConcat:
@@ -421,7 +421,7 @@ class TestConcat:
         n = max(n, 4 * min_leaf)  # |J2| = floor(ceil(n/2)/2) must reach min_leaf
         ds = make_dataset(n=n, p=2, d=d, seed=seed)
         ds = Dataset(ds.y, np.round(ds.u, 1))
-        forest = train_forest(ds, ForestConfig(n_trees=B, min_leaf=min_leaf, mtry=d, seed=seed), kind)
+        forest = train_forest(ds, ForestConfig(n_trees=B, min_leaf=min_leaf, mtry=d), kind, seed)
         assert same_forest(Forest.concat(trees(forest)), forest)
         points = _query_points(forest, ds, np.random.default_rng(seed))
         for tree in trees(forest):
@@ -430,16 +430,16 @@ class TestConcat:
 
     def test_metadata_must_agree(self):
         ds = make_dataset(n=20, p=1, d=2, seed=0)
-        cfg = ForestConfig(n_trees=2, min_leaf=2, seed=0)
-        a = train_forest(ds, cfg, ResponseKind.MEAN)
-        b = train_forest(ds, cfg, ResponseKind.SECOND_MOMENT)
+        cfg = ForestConfig(n_trees=2, min_leaf=2)
+        a = train_forest(ds, cfg, ResponseKind.MEAN, 0)
+        b = train_forest(ds, cfg, ResponseKind.SECOND_MOMENT, 0)
         with pytest.raises(ValueError, match="different metadata"):
             Forest.concat([a, b])
 
 
 def _manual_forest(n, d, leaves):
     """One single-leaf tree per member list, joined by ``Forest.concat``."""
-    cfg = ForestConfig(n_trees=len(leaves), subsample_size=max(2, n // 2), min_leaf=1, mtry=1, seed=0)
+    cfg = ForestConfig(n_trees=len(leaves), subsample_size=max(2, n // 2), min_leaf=1, mtry=1)
     return Forest.concat([_leaf_tree(members, cfg, n, d) for members in leaves])
 
 
@@ -480,8 +480,8 @@ class TestWeightVector:
 
     def test_sums_to_one(self):
         ds = make_dataset(n=50, p=2, d=2, seed=8)
-        cfg = ForestConfig(n_trees=30, min_leaf=3, seed=2)
-        forest = train_forest(ds, cfg, ResponseKind.MEAN)
+        cfg = ForestConfig(n_trees=30, min_leaf=3)
+        forest = train_forest(ds, cfg, ResponseKind.MEAN, 2)
         rng = np.random.default_rng(0)
         for _ in range(10):
             w = weight_vector(forest, rng.uniform(-1, 1, 2))
@@ -490,8 +490,8 @@ class TestWeightVector:
 
     def test_honesty_support(self):
         ds = make_dataset(n=40, p=2, d=2, seed=4)
-        cfg = ForestConfig(n_trees=10, min_leaf=2, seed=3)
-        forest = train_forest(ds, cfg, ResponseKind.MEAN)
+        cfg = ForestConfig(n_trees=10, min_leaf=2)
+        forest = train_forest(ds, cfg, ResponseKind.MEAN, 3)
         j2_union = set()
         for tree in trees(forest):
             j2_union |= set(j2_indices(tree).tolist())
@@ -502,7 +502,7 @@ class TestWeightVector:
 
     def test_wrong_query_length(self):
         ds = make_dataset(n=20, p=1, d=2, seed=0)
-        forest = train_forest(ds, ForestConfig(n_trees=2, min_leaf=2, seed=0), ResponseKind.MEAN)
+        forest = train_forest(ds, ForestConfig(n_trees=2, min_leaf=2), ResponseKind.MEAN, 0)
         with pytest.raises(ValueError):
             weight_vector(forest, np.zeros(3))
 
@@ -517,9 +517,9 @@ class TestWeightVector:
             ds = make_dataset(n=n, p=p, d=d, seed=1000 + case)
             s = int(rng.integers(4, n + 1))
             cfg = ForestConfig(n_trees=B, subsample_size=s, min_leaf=1,
-                               mtry=d, seed=case)
+                               mtry=d)
             kind = ResponseKind.MEAN if case % 2 else ResponseKind.SECOND_MOMENT
-            forest = train_forest(ds, cfg, kind)
+            forest = train_forest(ds, cfg, kind, case)
             for _ in range(3):
                 u = rng.uniform(-1, 1, d)
                 got = to_dense(weight_vector(forest, u))
@@ -554,8 +554,8 @@ class TestFlatRouter:
         ds = make_dataset(n=n, p=2, d=d, seed=seed)
         # Coarse covariates make many ties between rows and split thresholds.
         ds = Dataset(ds.y, np.round(ds.u, 1))
-        cfg = ForestConfig(n_trees=B, min_leaf=min_leaf, mtry=d, seed=seed)
-        forest = train_forest(ds, cfg, ResponseKind(kind))
+        cfg = ForestConfig(n_trees=B, min_leaf=min_leaf, mtry=d)
+        forest = train_forest(ds, cfg, ResponseKind(kind), seed)
         for u in _query_points(forest, ds, np.random.default_rng(seed)):
             got = to_dense(weight_vector(forest, u))
             np.testing.assert_array_equal(got, oracle_weights(forest, ds, u))
@@ -566,15 +566,15 @@ class TestFlatRouter:
         y = np.concatenate([np.zeros(8), np.full(8, 10.0)])[:, None]
         ds = Dataset(y, u)
         cfg = ForestConfig(n_trees=1, subsample_size=16, min_leaf=4, mtry=1,
-                           random_split_prob=1e-12, seed=0)
-        forest = train_forest(ds, cfg, ResponseKind.MEAN)
+                           random_split_prob=1e-12)
+        forest = train_forest(ds, cfg, ResponseKind.MEAN, 0)
         tree = tree_view(forest, 0)
         w = weight_vector(forest, tree.threshold[:1])
         np.testing.assert_array_equal(w.indices, np.sort(leaf_members(tree, tree.left[0])))
 
     def test_layout_is_flat(self):
         ds = make_dataset(n=40, p=2, d=2, seed=1)
-        forest = train_forest(ds, ForestConfig(n_trees=5, min_leaf=2, seed=1), ResponseKind.MEAN)
+        forest = train_forest(ds, ForestConfig(n_trees=5, min_leaf=2), ResponseKind.MEAN, 1)
         N = len(forest.feature)
         assert forest.roots[0] == 0 and len(forest.roots) == 5
         leaf = forest.feature < 0
@@ -592,6 +592,6 @@ class TestFlatRouter:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_query_rejected(self, bad):
         ds = make_dataset(n=20, p=1, d=2, seed=0)
-        forest = train_forest(ds, ForestConfig(n_trees=3, min_leaf=2, seed=0), ResponseKind.MEAN)
+        forest = train_forest(ds, ForestConfig(n_trees=3, min_leaf=2), ResponseKind.MEAN, 0)
         with pytest.raises(ValueError, match="coordinate 1 is not finite"):
             weight_vector(forest, np.array([0.0, bad]))

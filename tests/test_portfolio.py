@@ -141,7 +141,7 @@ class TestBacktest:
 
     def test_no_lookahead_mfdcm(self):
         panel = _model_panel(26, p=3)
-        cfg = ForestConfig(n_trees=10, min_leaf=2, seed=0)
+        cfg = ForestConfig(n_trees=10, min_leaf=2)
         kw = dict(window=12, forest_config=cfg, folds=2, stride=2)
         full = backtest(panel, MethodSpec.parse("mfdcm:soft"), **kw)
         truncated = backtest(panel.subset(np.arange(20)), MethodSpec.parse("mfdcm:soft"), **kw)
@@ -177,7 +177,7 @@ class TestBacktest:
 
     def test_stride_reuses_forests(self):
         panel = _model_panel(30, p=3)
-        cfg = ForestConfig(n_trees=10, min_leaf=2, seed=0)
+        cfg = ForestConfig(n_trees=10, min_leaf=2)
         daily = backtest(panel, MethodSpec.parse("mfdcm:soft"), window=20,
                          forest_config=cfg, folds=2, stride=5)
         again = backtest(panel, MethodSpec.parse("mfdcm:soft"), window=20,
@@ -230,11 +230,18 @@ class TestBacktest:
         check_backtest(MethodSpec("identity"), 30, 2, 20, 1, ForestConfig(min_leaf=6), 11)
         check_backtest(MethodSpec.parse("static:soft"), 30, 2, 20, 1, ForestConfig(min_leaf=6), 5)
 
-    def test_run_seed_drives_the_forests(self):
-        panel = _model_panel(26, p=3)
-        runs = [
-            backtest(panel, MethodSpec.parse("mfdcm:soft"), window=20, folds=2, stride=3, seed=4,
-                     forest_config=ForestConfig(n_trees=10, min_leaf=2, seed=forest_seed))
-            for forest_seed in (0, 7)
-        ]
-        np.testing.assert_array_equal(runs[0].daily_returns, runs[1].daily_returns)
+    def test_run_seed_drives_the_forests(self, monkeypatch):
+        seeds = []
+
+        def recording(fn):
+            def call(dataset, config, seed, *args, **kwargs):
+                seeds.append((fn.__name__, seed))
+                return fn(dataset, config, seed, *args, **kwargs)
+            return call
+
+        for name in ("train_cov_forests", "ForestCV"):
+            monkeypatch.setattr(portfolio, name, recording(getattr(portfolio, name)))
+        backtest(_model_panel(26, p=3), MethodSpec.parse("mfdcm:soft"), window=20, folds=2, stride=3,
+                 seed=4, forest_config=ForestConfig(n_trees=10, min_leaf=2))
+        # Six days at stride 3: two retrains.
+        assert seeds == [("train_cov_forests", 4), ("ForestCV", 4)] * 2

@@ -211,14 +211,14 @@ class TestLambdaGrid:
 
 def _select(ds, forests, u, rule, folds, grid_size=20, cv=None):
     """Cross-validated lambda at u, the way the CLI subcommands pick it."""
-    cv = cv or ForestCV(ds, forests[0].config, folds=folds, grid_size=grid_size)
+    cv = cv or ForestCV(ds, forests[0].config, 0, folds=folds, grid_size=grid_size)
     return cv.select(u, rule, raw_cov(*forests, ds, u))
 
 
 class TestSelectLambda:
     def _forests(self, dataset, trees=40):
-        cfg = ForestConfig(n_trees=trees, min_leaf=3, seed=0)
-        return train_cov_forests(dataset, cfg.resolve(dataset.n, dataset.d))
+        cfg = ForestConfig(n_trees=trees, min_leaf=3)
+        return train_cov_forests(dataset, cfg.resolve(dataset.n, dataset.d), 0)
 
     def test_degenerate_grid_returns_zero(self):
         # p = 1 has no off-diagonal, so the grid collapses to {0}.
@@ -243,8 +243,8 @@ class TestSelectLambda:
         # chosen penalty should kill every off-diagonal entry there.
         spec = ModelSpec(model=3, p=8, d=2, n=200)
         ds = sample_dataset(spec, np.random.default_rng(4))
-        cfg = ForestConfig(n_trees=100, min_leaf=4, seed=0).resolve(ds.n, ds.d)
-        forests = train_cov_forests(ds, cfg)
+        cfg = ForestConfig(n_trees=100, min_leaf=4).resolve(ds.n, ds.d)
+        forests = train_cov_forests(ds, cfg, 0)
         u = np.array([-0.9, 0.0])
         rule = ThresholdRule("soft")
         sel = _select(ds, forests, u, rule, folds=5)
@@ -257,7 +257,7 @@ class TestSelectLambda:
         spec = ModelSpec(model=1, p=3, d=2, n=40)
         ds = sample_dataset(spec, np.random.default_rng(2))
         forests = self._forests(ds)
-        cv = ForestCV(ds, forests[0].config, folds=3)
+        cv = ForestCV(ds, forests[0].config, 0, folds=3)
         u = np.array([0.2, -0.1])
         fresh = _select(ds, forests, u, ThresholdRule("soft"), folds=3)
         reused = _select(ds, forests, u, ThresholdRule("soft"), folds=3, cv=cv)
@@ -268,7 +268,7 @@ class TestSelectLambda:
         gen = np.random.default_rng(0)
         ds = Dataset(gen.standard_normal((6, 2)), gen.uniform(-1, 1, (6, 1)))
         with pytest.raises(ValueError):
-            ForestCV(ds, ForestConfig(n_trees=5, min_leaf=1), folds=5)
+            ForestCV(ds, ForestConfig(n_trees=5, min_leaf=1), 0, folds=5)
 
 
 def _sample_cov(y):
