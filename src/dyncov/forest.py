@@ -412,6 +412,17 @@ def train_forest(
     return Forest.concat(trees)
 
 
+def check_query_point(u: np.ndarray, d: int) -> np.ndarray:
+    """u as a float array; raise ValueError unless it holds d finite coordinates."""
+    u = np.asarray(u, dtype=float)
+    if u.shape != (d,):
+        raise ValueError(f"query point must have length d={d}, got shape {u.shape}")
+    if not np.isfinite(u).all():
+        j = int(np.flatnonzero(~np.isfinite(u))[0])
+        raise ValueError(f"query point coordinate {j} is not finite ({u[j]})")
+    return u
+
+
 def weight_vector(forest: Forest, u: np.ndarray) -> WeightVector:
     """Co-leaf similarity weights of the training indices for query point u.
 
@@ -421,12 +432,7 @@ def weight_vector(forest: Forest, u: np.ndarray) -> WeightVector:
     members in tree order, the order of a loop over trees, so the weights
     are bit-for-bit that loop's.
     """
-    u = np.asarray(u, dtype=float)
-    if u.shape != (forest.d,):
-        raise ValueError(f"query point must have length d={forest.d}, got shape {u.shape}")
-    if not np.isfinite(u).all():
-        j = int(np.flatnonzero(~np.isfinite(u))[0])
-        raise ValueError(f"query point coordinate {j} is not finite ({u[j]})")
+    u = check_query_point(u, forest.d)
     node = forest.roots
     feat = forest.feature[node]
     # Loop while some tree is not at a leaf yet (argmax is cheaper than max).

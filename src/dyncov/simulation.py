@@ -23,7 +23,7 @@ import numpy as np
 from . import _streams
 from .covariance import raw_cov, train_cov_forests
 from .data import Dataset
-from .forest import ForestConfig
+from .forest import ForestConfig, check_query_point
 from .thresholding import ForestCV, ThresholdRule, check_cv_folds, cv_threshold, pd_correct
 
 N_TEST_POINTS = 30
@@ -222,12 +222,13 @@ def kernel_dcm_baseline(
 
     ``covariate_index`` is 1-based.  Nadaraya-Watson weights built from an
     Epanechnikov kernel replace both the mean and second-moment weightings.
+    u must hold d finite coordinates, as a forest query point does.
     """
     j = covariate_index - 1
     if not 0 <= j < dataset.d:
         raise ValueError(f"covariate index must be in 1..{dataset.d}")
     uj = dataset.u[:, j]
-    target = float(np.asarray(u, dtype=float)[j])
+    target = float(check_query_point(u, dataset.d)[j])
     h = rule_of_thumb_bandwidth(uj)
     return cv_threshold(
         _kernel_raw(dataset.y, uj, target, h),
@@ -304,7 +305,8 @@ class ExperimentConfig:
     """One replicated experiment; ``forest`` shapes the forests, and ``seed``
     drives every random stream of the run (datasets, forests, CV folds).  Every arm
     cross-validates, so the folds must pass ``check_cv_folds`` at n rows, and a
-    forest arm's config must resolve at (n, d); both are checked here."""
+    forest arm's config must resolve at (n, d); both are checked here, and so
+    is that no arm is named twice."""
 
     model: ModelSpec
     methods: tuple[MethodSpec, ...]
@@ -322,6 +324,9 @@ class ExperimentConfig:
             raise ValueError("lambda_mode must be 'per-point' or 'shared'")
         if not self.methods:
             raise ValueError("at least one method is required")
+        repeated = [m for i, m in enumerate(self.methods) if m in self.methods[:i]]
+        if repeated:
+            raise ValueError(f"methods name arm {str(repeated[0])!r} more than once")
         for method in self.methods:
             if method.name not in SIMULATE_METHODS:
                 raise ValueError(f"simulate supports only {SIMULATE_METHODS}, got {method.name!r}")
@@ -378,90 +383,71 @@ class ExperimentReport:
         return "\n".join(lines)
 
 
-def _forest_estimates(
-    dataset: Dataset,
-    config: ExperimentConfig,
-    points: np.ndarray,
-    rules: list[ThresholdRule],
-) -> dict[ThresholdRule, list[np.ndarray]]:
-    """Thresholded forest estimates at every query point, one list per rule."""
-    forests = train_cov_forests(dataset, config.forest, config.seed)
-    cv = ForestCV(dataset, config.forest, config.seed, folds=config.folds, grid_size=config.grid_size)
-    raws = [raw_cov(*forests, dataset, u) for u in points]
-    out: dict[ThresholdRule, list[np.ndarray]] = {}
-    for rule in rules:
-        if config.lambda_mode == "shared":
-            centroid = dataset.u.mean(axis=0)
-            sel = cv.select(centroid, rule, raw_cov(*forests, dataset, centroid))
-            out[rule] = [sel.apply(raw) for raw in raws]
-        else:
-            out[rule] = [cv.select(u, rule, raw).apply(raw) for u, raw in zip(points, raws)]
-    return out
+def _run_rep(config: ExperimentConfig, points: np.ndarray, rep: int) -> np.ndarray:
+    """One replication: a fresh dataset, every method scored one test point at a time.
 
-
-def _run_rep(config: ExperimentConfig, points: np.ndarray, truths: list[np.ndarray], rep: int):
-    """One replication: fresh dataset, every method estimated at every point."""
+    Returns the (methods, points, 4) array of Frobenius loss, spectral loss,
+    TPR and FPR.  Only the forests, the ``ForestCV`` state and one matrix per
+    static arm outlive a point, so the p x p memory held does not grow with
+    the number of points or arms.
+    """
     rng = _streams.substream(config.seed, _streams.REP, rep)
     dataset = sample_dataset(config.model, rng)
+    cv_args = dict(folds=config.folds, grid_size=config.grid_size, seed=config.seed)
 
     forest_rules = sorted({m.rule for m in config.methods if m.forest}, key=str)
-    forest_ests = (
-        _forest_estimates(dataset, config, points, forest_rules) if forest_rules else {}
-    )
+    shared = {}
+    if forest_rules:
+        forests = train_cov_forests(dataset, config.forest, config.seed)
+        cv = ForestCV(dataset, config.forest, **cv_args)
+        if config.lambda_mode == "shared":
+            centroid = dataset.u.mean(axis=0)
+            raw = raw_cov(*forests, dataset, centroid)
+            shared = {rule: cv.select(centroid, rule, raw) for rule in forest_rules}
+    static = {m: static_baseline(dataset, m.rule, **cv_args) for m in config.methods if m.name == "static"}
 
-    per_method = []
-    for method in config.methods:
-        if method.forest:
-            mats = forest_ests[method.rule]
-        elif method.name == "static":
-            mat = static_baseline(
-                dataset, method.rule, folds=config.folds, grid_size=config.grid_size, seed=config.seed
-            )
-            mats = [mat] * len(points)
-        else:  # kernel / mkernel
-            mats = [
-                kernel_dcm_baseline(
-                    dataset,
-                    method.kernel_covariate,
-                    u,
-                    method.rule,
-                    folds=config.folds,
-                    grid_size=config.grid_size,
-                    seed=config.seed,
-                )
-                for u in points
-            ]
-        if method.name in ("mfdcm", "mkernel"):
-            mats = [pd_correct(m)[0] for m in mats]
-        fro_sp = np.array([losses(m, t) for m, t in zip(mats, truths)])
-        tpr_fpr = np.array([sparsity_rates(m, t) for m, t in zip(mats, truths)])
-        per_method.append((fro_sp, tpr_fpr))
-    return per_method
+    scores = np.empty((len(config.methods), len(points), 4))
+    for k, u in enumerate(points):
+        if forest_rules:
+            raw = raw_cov(*forests, dataset, u)
+            thresholded = {
+                rule: (shared[rule] if shared else cv.select(u, rule, raw)).apply(raw)
+                for rule in forest_rules
+            }
+        truth = true_cov(config.model, u)
+        for mi, method in enumerate(config.methods):
+            if method.forest:
+                est = thresholded[method.rule]
+            elif method.name == "static":
+                est = static[method]
+            else:  # kernel / mkernel
+                est = kernel_dcm_baseline(dataset, method.kernel_covariate, u, method.rule, **cv_args)
+            if method.name in ("mfdcm", "mkernel"):
+                est = pd_correct(est)[0]
+            scores[mi, k] = (*losses(est, truth), *sparsity_rates(est, truth))
+    return scores
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Run the replicated benchmark; fully reproducible from the seed."""
+    """Run the replicated benchmark; fully reproducible from the seed.
+
+    Replications run one after another, and each scores its test points one
+    at a time (``_run_rep``), so peak memory is O(p^2) per replication.
+    """
     start = time.perf_counter()
     points = test_points(config.model.d)
-    truths = [true_cov(config.model, u) for u in points]
-    reps = [_run_rep(config, points, truths, r) for r in range(config.reps)]
+    scores = np.stack([_run_rep(config, points, r) for r in range(config.reps)])
+    medians = np.median(scores, axis=2)  # (reps, methods, 4)
 
     sparsity_models = config.model.model in (3, 4)
     results = []
     for mi, method in enumerate(config.methods):
-        fro = np.stack([reps[r][mi][0][:, 0] for r in range(config.reps)])
-        spectral = np.stack([reps[r][mi][0][:, 1] for r in range(config.reps)])
-        mfl = np.median(fro, axis=1)
-        msl = np.median(spectral, axis=1)
-        mtpr = mfpr = None
-        if sparsity_models:
-            tpr = np.stack([reps[r][mi][1][:, 0] for r in range(config.reps)])
-            fpr = np.stack([reps[r][mi][1][:, 1] for r in range(config.reps)])
-            mtpr = np.median(tpr, axis=1)
-            mfpr = np.median(fpr, axis=1)
-        results.append(
-            MethodResult(method=method, mfl=mfl, msl=msl, mtpr=mtpr, mfpr=mfpr, fro=fro, spectral=spectral)
-        )
+        mtpr = medians[:, mi, 2] if sparsity_models else None
+        mfpr = medians[:, mi, 3] if sparsity_models else None
+        results.append(MethodResult(
+            method=method, mfl=medians[:, mi, 0], msl=medians[:, mi, 1], mtpr=mtpr, mfpr=mfpr,
+            fro=scores[:, mi, :, 0], spectral=scores[:, mi, :, 1],
+        ))
     return ExperimentReport(
         config=config, points=points, results=results, runtime_s=time.perf_counter() - start
     )

@@ -11,6 +11,7 @@ import pytest
 
 from dyncov import _streams
 from dyncov import forest as forest_module
+from dyncov import simulation
 from dyncov.data import CsvFormatError, Dataset, _col_pos
 from dyncov.forest import Forest, _scan, _target_gram
 from dyncov.thresholding import _cv_select, lambda_grid
@@ -413,3 +414,61 @@ def reference_cv_threshold(raw_full, raw_fn, order, rule, folds, grid_size, seed
     splits = ((np.setdiff1d(perm, part), np.sort(part)) for part in np.array_split(perm, folds))
     pairs = ((raw_fn(fit), raw_fn(held)) for fit, held in splits)
     return _cv_select(pairs, grid, rule).apply(raw_full)
+
+
+def _reference_forest_estimates(dataset, config, points, rules):
+    """Thresholded forest estimates at every query point, one list per rule."""
+    forests = simulation.train_cov_forests(dataset, config.forest, config.seed)
+    cv = simulation.ForestCV(dataset, config.forest, config.seed, folds=config.folds,
+                             grid_size=config.grid_size)
+    raws = [simulation.raw_cov(*forests, dataset, u) for u in points]
+    out = {}
+    for rule in rules:
+        if config.lambda_mode == "shared":
+            centroid = dataset.u.mean(axis=0)
+            sel = cv.select(centroid, rule, simulation.raw_cov(*forests, dataset, centroid))
+            out[rule] = [sel.apply(raw) for raw in raws]
+        else:
+            out[rule] = [cv.select(u, rule, raw).apply(raw) for u, raw in zip(points, raws)]
+    return out
+
+
+def reference_run_rep(config, points, rep):
+    """The replication runner that built every arm's estimate at every point before scoring.
+
+    Kept as the reference for ``simulation._run_rep``, which scores one point
+    at a time; it takes the same arguments and returns the same
+    (methods, points, 4) array of Frobenius, spectral, TPR and FPR.
+    """
+    truths = [simulation.true_cov(config.model, u) for u in points]
+    rng = _streams.substream(config.seed, _streams.REP, rep)
+    dataset = simulation.sample_dataset(config.model, rng)
+
+    forest_rules = sorted({m.rule for m in config.methods if m.forest}, key=str)
+    forest_ests = (
+        _reference_forest_estimates(dataset, config, points, forest_rules) if forest_rules else {}
+    )
+
+    per_method = []
+    for method in config.methods:
+        if method.forest:
+            mats = forest_ests[method.rule]
+        elif method.name == "static":
+            mat = simulation.static_baseline(
+                dataset, method.rule, folds=config.folds, grid_size=config.grid_size, seed=config.seed
+            )
+            mats = [mat] * len(points)
+        else:  # kernel / mkernel
+            mats = [
+                simulation.kernel_dcm_baseline(
+                    dataset, method.kernel_covariate, u, method.rule,
+                    folds=config.folds, grid_size=config.grid_size, seed=config.seed,
+                )
+                for u in points
+            ]
+        if method.name in ("mfdcm", "mkernel"):
+            mats = [simulation.pd_correct(m)[0] for m in mats]
+        fro_sp = np.array([simulation.losses(m, t) for m, t in zip(mats, truths)])
+        tpr_fpr = np.array([simulation.sparsity_rates(m, t) for m, t in zip(mats, truths)])
+        per_method.append(np.hstack([fro_sp, tpr_fpr]))
+    return np.stack(per_method)

@@ -97,6 +97,18 @@ class TestSimulate:
         assert not out.with_suffix(".csv").exists()
         assert not out.with_suffix(".txt").exists()
 
+    def test_repeated_arm_refused_before_sampling(self, tmp_path, capsys, monkeypatch):
+        def started(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(simulation, "sample_dataset", started)
+        out = tmp_path / "x"
+        code = main(SIM_FLAGS + ["--methods", "static:soft,static:soft,fdcm:soft,fdcm:soft",
+                                 "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "methods name arm 'static:soft' more than once" in capsys.readouterr().err
+        assert not out.with_suffix(".csv").exists()
+
     def test_method_rule_defaults_to_soft(self, tmp_path):
         bodies = []
         for methods in ("fdcm", "fdcm:soft"):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from dyncov.simulation import (
 )
 from dyncov.simulation import test_points as fixed_test_points
 from dyncov.thresholding import ThresholdRule
+from tests.conftest import reference_run_rep
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -272,6 +274,21 @@ class TestKernelBaseline:
         with pytest.raises(ValueError):
             kernel_dcm_baseline(ds, 3, np.array([0.1, 0.2]), ThresholdRule("soft"))
 
+    @pytest.mark.parametrize("u, message", [
+        ([np.nan, 0.0], "coordinate 0 is not finite"),
+        ([0.1, -np.inf], "coordinate 1 is not finite"),
+        ([0.1], r"must have length d=2, got shape \(1,\)"),
+    ], ids=["nan-in-kernel-covariate", "inf-in-other-covariate", "short"])
+    def test_bad_query_point_refused_at_once(self, monkeypatch, u, message):
+        def started(*args, **kwargs):
+            raise AssertionError("work started")
+
+        spec = ModelSpec(model=1, p=3, d=2, n=40)
+        ds = sample_dataset(spec, np.random.default_rng(7))
+        monkeypatch.setattr(simulation, "_kernel_raw", started)
+        with pytest.raises(ValueError, match=message):
+            kernel_dcm_baseline(ds, 1, np.array(u), ThresholdRule("soft"))
+
     def test_rule_of_thumb_shape(self):
         uj = np.random.default_rng(8).uniform(-1, 1, 100)
         h = rule_of_thumb_bandwidth(uj)
@@ -386,7 +403,12 @@ class TestRunExperiment:
             self._config(methods=("identity",))
         with pytest.raises(ValueError, match=r"covariate index must be in 1\.\.2"):
             self._config(methods=("static:soft", "mkernel:3:soft"))
+        with pytest.raises(ValueError, match="methods name arm 'static:scad:3.7' more than once"):
+            self._config(methods=("static:scad", "fdcm:soft", "static:scad:3.7"))
+        with pytest.raises(ValueError, match="methods name arm 'kernel:2:soft' more than once"):
+            self._config(methods=("kernel:2", "kernel:1", "kernel:2:soft"))
         self._config(methods=("kernel:2:soft",))
+        self._config(methods=("fdcm:soft", "mfdcm:soft", "fdcm:hard", "kernel:1", "kernel:2"))
 
     @pytest.mark.parametrize("methods, forest_cfg, folds, message", [
         (("fdcm:soft", "static:soft", "kernel:1:soft"), ForestConfig(n_trees=5, min_leaf=2), 5,
@@ -411,6 +433,36 @@ class TestRunExperiment:
                 forest=forest_cfg,
                 folds=folds,
             ))
+
+    @pytest.mark.parametrize("lambda_mode", ["per-point", "shared"])
+    @pytest.mark.parametrize("model", [1, 2, 3, 4])
+    def test_matches_the_all_points_reference_runner(self, monkeypatch, model, lambda_mode):
+        methods = ("fdcm:soft", "mfdcm:hard", "static:scad", "kernel:2:soft", "mkernel:1:alasso")
+        cfg = self._config(model=model, methods=methods, reps=2, lambda_mode=lambda_mode)
+        streamed = run_experiment(cfg).to_csv_lines()
+        monkeypatch.setattr(simulation, "_run_rep", reference_run_rep)
+        assert streamed == run_experiment(cfg).to_csv_lines()
+
+    def test_peak_memory_is_a_few_matrices(self):
+        # Scoring one test point at a time peaks at about 20 p x p matrices
+        # here, about 5 of them fold forests and datasets that do not grow
+        # with p; holding every arm's estimate at all 30 points before
+        # scoring them peaked at about 104.
+        p = 200
+        cfg = ExperimentConfig(
+            model=ModelSpec(model=1, p=p, d=2, n=40),
+            methods=tuple(MethodSpec.parse(m) for m in ("fdcm:soft", "mfdcm:soft", "static:soft",
+                                                        "kernel:1:soft")),
+            reps=1,
+            forest=ForestConfig(n_trees=5),
+        )
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 25 * p * p * 8
 
     def test_forest_config_checked_only_for_a_forest_arm(self):
         infeasible = ForestConfig(n_trees=5, min_leaf=9)
