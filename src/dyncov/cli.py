@@ -235,7 +235,7 @@ def cmd_estimate(cfg: dict) -> int:
     with _usage_errors():
         if cfg["stage"] != "raw":
             check_cv_folds(dataset.n, cfg["folds"])
-        forest_cfg = _forest_config(cfg).resolve(dataset.n, dataset.d)
+        forest_cfg = _forest_config(cfg).resolve_main(dataset.n, dataset.d)
     forests = train_cov_forests(dataset, forest_cfg, cfg["seed"])
     cv = None
     if cfg["stage"] != "raw":
@@ -253,7 +253,7 @@ def cmd_estimate(cfg: dict) -> int:
             lam = sel.lam
             matrix = sel.apply(matrix)
             if cfg["stage"] == "corrected":
-                matrix, info = pd_correct(matrix)
+                matrix, info = pd_correct(matrix, where=f"query point {q}")
                 applied = info.applied
         name = f"sigma_{q:03d}.csv"
         write_matrix_csv(out_dir / name, matrix, _config_lines(cfg) + [f"point={q}"])

@@ -16,11 +16,13 @@ of the merged J1/J2 values, whose adjacent distinct values give the candidate
 thresholds at their midpoints.  Every feasible delta of every candidate goes
 into one array, and its first maximum picks the split, so on equal deltas
 the lowest feature, then the lowest threshold, wins.  Only the m1 x m1 work
-runs per candidate: its block of the tree's Gram matrix is gathered straight
-from that matrix in the candidate's sorted order, one C-contiguous block at
-a time, and reduced to the prefix sums the delta needs.  The blocks land in
-one workspace per tree, two flat buffers of |J1|^2 floats, so the nodes of a
-tree reuse memory instead of mapping fresh blocks.
+runs per candidate: its block of the tree's Gram matrix, in the candidate's
+sorted order, is streamed through a window of WINDOW rows and reduced to the
+prefix sums the delta needs, with every sum's operands in the order of a
+whole-block pass.  The window is one workspace per tree of (2w + 1) |J1|
+floats, w = min(WINDOW, |J1|), so growth holds the |J1|^2 Gram matrix and
+little else, and the nodes of a tree reuse memory instead of mapping fresh
+blocks.
 
 Layout.  A :class:`Forest` holds its trees in one set of flat arrays over
 all its nodes, and a tree is a forest of one: ``grow_tree`` returns a
@@ -90,6 +92,22 @@ class ForestConfig:
         if not 1 <= mtry <= d:
             raise ValueError(f"mtry must satisfy 1 <= mtry <= d, got {mtry}, d={d}")
         return replace(self, subsample_size=s, mtry=mtry)
+
+    def resolve_main(self, n: int, d: int) -> "ForestConfig":
+        """``resolve``, refused also when no tree could split at its root: a root
+        split leaves min_leaf J2 rows on each side, so floor(s/2) >= 2 * min_leaf.
+
+        Only the drivers' main forests are held to this; the fold forests of
+        ``ForestCV`` are only resolved.
+        """
+        cfg = self.resolve(n, d)
+        s, k = cfg.subsample_size, cfg.min_leaf
+        if s // 2 < 2 * k:
+            raise ValueError(
+                f"no tree could split: a root split needs floor(s/2) >= 2*min_leaf, "
+                f"got floor(s/2)={s // 2} (s={s}) and min_leaf={k}"
+            )
+        return cfg
 
     def check(self) -> None:
         """The rules that hold whatever the data: at least one tree, a leaf
@@ -201,15 +219,19 @@ def _target_gram(y_j1: np.ndarray, kind: ResponseKind) -> np.ndarray:
     return inner
 
 
-def _workspace(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two flat buffers of size**2 floats for ``_scan``'s Gram blocks.
+WINDOW = 64  # Gram block rows that _scan reduces at a time
 
-    They are the two rows of one allocation.  Under glibc's malloc, freeing
-    that one block lets the next tree's blocks come from the heap and reuse
-    its pages; two separate buffers were mapped afresh for every tree, at
-    about 2,000 page faults per tree at |J1| = 500.
+
+def _workspace(size: int) -> np.ndarray:
+    """One flat buffer of (2w + 1) * size floats, w = min(WINDOW, size), for
+    ``_scan``'s Gram windows: w gathered rows of the tree's Gram matrix, and
+    w + 1 rows of a candidate's block, the first of them the carry row.
+
+    A tree makes one and all its nodes reuse it: under glibc's malloc,
+    freeing it lets the next tree's come from the heap and reuse its pages
+    instead of being mapped afresh.
     """
-    return tuple(np.empty((2, size * size)))
+    return np.empty((2 * min(WINDOW, size) + 1) * size)
 
 
 def _scan(v1, v2, gram, rows, min_child_j2, workspace=None):
@@ -219,9 +241,9 @@ def _scan(v1, v2, gram, rows, min_child_j2, workspace=None):
     candidate; ``gram[np.ix_(rows, rows)]`` is the node's J1 target Gram
     matrix, with rows aligned with the columns of v1.  All F candidates are
     scanned together; only the Gram prefix sums are built one candidate at a
-    time, each from a C-contiguous block gathered straight from ``gram``.
-    The blocks are gathered into ``workspace``, two flat buffers of at least
-    ``len(gram)**2`` floats whose contents are overwritten (see
+    time, from its block in sorted order, w = min(WINDOW, len(gram)) rows at
+    a time.  The windows are gathered into ``workspace``, a flat buffer of
+    at least (2w + 1) * len(gram) floats whose contents are overwritten (see
     :func:`_workspace`; one is made when none is given), so a tree's nodes
     reuse the same memory.
     """
@@ -253,24 +275,39 @@ def _scan(v1, v2, gram, rows, min_child_j2, workspace=None):
 
     # Prefix quantities over each candidate's sorted J1 points: after taking
     # the first m points left, ||S_left||^2 is the double prefix sum and
-    # S_left . S_total is the prefix of row sums.  A candidate's block must
-    # be its own C-contiguous array: the row sums' pairwise order follows
-    # the memory layout.
+    # S_left . S_total is the prefix of row sums.  Rows a:b of the block are
+    # gathered into g, a C-contiguous array of whole rows, since the row
+    # sums' pairwise order follows the memory layout.  The column prefix
+    # sums continue from the carry, the last column-prefix row of the
+    # previous window, kept in the row above g (the first window has none,
+    # so its first row is taken as is); the row prefix sums stop at column b,
+    # since only the diagonal is read.
     sorted_rows = rows[order]
     double_prefix = np.zeros((len(v1), m1))
     row_sums = np.zeros((len(v1), m1))
-    taken, block = workspace if workspace is not None else _workspace(len(gram))
-    taken = taken[: m1 * len(gram)].reshape(m1, len(gram))
-    block = block[: m1 * m1].reshape(m1, m1)
+    size = len(gram)
+    w = min(WINDOW, size)
+    if workspace is None:
+        workspace = _workspace(size)
+    windows = []
+    for a in range(0, m1, w):
+        b = min(a + w, m1)
+        taken = workspace[: (b - a) * size].reshape(b - a, size)
+        block = workspace[w * size : w * size + (b - a + 1) * m1].reshape(b - a + 1, m1)
+        g = block[1:]
+        windows.append((a, b, taken, block, g, block if a else g, g[:, :b]))
     for f in np.flatnonzero(feasible.any(axis=1)):
         r = sorted_rows[f]
-        # mode="clip" lets take write into out unbuffered; every index is in range.
-        gram.take(r, axis=0, out=taken, mode="clip")
-        g = taken.take(r, axis=1, out=block, mode="clip")
-        row_sums[f] = g.sum(axis=1)
-        g.cumsum(axis=0, out=g)
-        g.cumsum(axis=1, out=g)
-        double_prefix[f] = g.diagonal()
+        for a, b, taken, block, g, columns, lower in windows:
+            # mode="clip" lets take write into out unbuffered; every index is in range.
+            gram.take(r[a:b], axis=0, out=taken, mode="clip")
+            taken.take(r, axis=1, out=g, mode="clip")
+            row_sums[f, a:b] = g.sum(axis=1)
+            columns.cumsum(axis=0, out=columns)
+            if b < m1:
+                block[0] = g[-1]
+            lower.cumsum(axis=1, out=lower)
+            double_prefix[f, a:b] = g.diagonal(a)
     dot_total_prefix = row_sums.cumsum(axis=1)
     total_norm = row_sums.sum(axis=1)
 
@@ -296,11 +333,11 @@ def best_split(
     probability ``random_split_prob`` one feature is drawn uniformly and only
     it is scanned; otherwise ``mtry`` candidate features compete on the delta
     criterion, all in one scan of the node.  Each candidate's Gram block is
-    gathered from ``gram`` in its sorted order, one candidate at a time, into
-    ``workspace`` when one is given (see :func:`_scan`).  On
-    equal deltas the lowest feature, then the lowest threshold, wins.  Any
-    split must leave each child >= max(k, ceil(omega * node J2 count)) J2
-    points and >= 1 J1 point.
+    read from ``gram`` in its sorted order, one candidate and one window of
+    rows at a time, through ``workspace`` when one is given (see
+    :func:`_scan`).  On equal deltas the lowest feature, then the lowest
+    threshold, wins.  Any split must leave each child >= max(k, ceil(omega *
+    node J2 count)) J2 points and >= 1 J1 point.
     """
     m1, m2 = len(u_j1), len(u_j2)
     if m1 < 2 or m2 < 2 * config.min_leaf:
@@ -327,8 +364,9 @@ def grow_tree(
     rng: np.random.Generator,
 ) -> Forest:
     """Grow one honest tree as a one-tree forest with local node ids: J1
-    targets drive splits, J2 fills the leaves.  Every node's split scan
-    reuses one workspace of the tree's size."""
+    targets drive splits, J2 fills the leaves.  Growth holds the |J1|^2 Gram
+    matrix and one window workspace of (2w + 1) |J1| floats (see
+    :func:`_workspace`), which every node's split scan reuses."""
     j1 = np.sort(np.asarray(j1, dtype=int))
     j2 = np.sort(np.asarray(j2, dtype=int))
     if len(j2) < config.min_leaf:

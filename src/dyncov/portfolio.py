@@ -82,7 +82,7 @@ def check_backtest(spec: MethodSpec, n: int, d: int, window: int, stride: int,
                    forest_config: ForestConfig, folds: int) -> None:
     """Raise ValueError unless ``backtest`` can run ``spec`` on n panel rows of d
     covariates: every arm but ``identity`` cross-validates on ``window`` rows,
-    and a forest arm's config must resolve there."""
+    and a forest arm's config must pass ``ForestConfig.resolve_main`` there."""
     check_backtest_method(spec)
     spec.check_covariate(d)
     if n <= window:
@@ -94,7 +94,7 @@ def check_backtest(spec: MethodSpec, n: int, d: int, window: int, stride: int,
     if spec.name != "identity":
         check_cv_folds(window, folds)
     if spec.forest:
-        forest_config.resolve(window, d)
+        forest_config.resolve_main(window, d)
 
 
 def backtest(
@@ -115,7 +115,8 @@ def backtest(
     every m days and re-queried at the new factor vector in between.
     ``forest_config`` shapes the forests, and ``seed`` drives every random
     stream of the run, the forests' and the CV folds'.  Settings that
-    ``check_backtest`` refuses raise before day 1.
+    ``check_backtest`` refuses raise before day 1, and a failed PD correction
+    names its day as the returns file labels it.
     """
     check_backtest(spec, panel.n, panel.d, window, stride, forest_config, folds)
     T, p = panel.n, panel.p
@@ -147,7 +148,8 @@ def backtest(
                 mat = kernel_dcm_baseline(
                     train, spec.kernel_covariate, u, spec.rule, folds=folds, grid_size=grid_size, seed=seed
                 )
-            sigma = pd_correct(mat)[0]
+            day = panel.dates[i] if panel.dates is not None else step
+            sigma = pd_correct(mat, where=f"day {day}")[0]
         w = min_var_weights(sigma)
         weights[step] = w
         daily[step] = float(w @ panel.y[i])

@@ -305,8 +305,8 @@ class ExperimentConfig:
     """One replicated experiment; ``forest`` shapes the forests, and ``seed``
     drives every random stream of the run (datasets, forests, CV folds).  Every arm
     cross-validates, so the folds must pass ``check_cv_folds`` at n rows, and a
-    forest arm's config must resolve at (n, d); both are checked here, and so
-    is that no arm is named twice."""
+    forest arm's config must pass ``ForestConfig.resolve_main`` at (n, d); both
+    are checked here, and so is that no arm is named twice."""
 
     model: ModelSpec
     methods: tuple[MethodSpec, ...]
@@ -333,7 +333,7 @@ class ExperimentConfig:
             method.check_covariate(self.model.d)
         check_cv_folds(self.model.n, self.folds)
         if any(m.forest for m in self.methods):
-            self.forest.resolve(self.model.n, self.model.d)
+            self.forest.resolve_main(self.model.n, self.model.d)
 
 
 @dataclass
@@ -423,7 +423,7 @@ def _run_rep(config: ExperimentConfig, points: np.ndarray, rep: int) -> np.ndarr
             else:  # kernel / mkernel
                 est = kernel_dcm_baseline(dataset, method.kernel_covariate, u, method.rule, **cv_args)
             if method.name in ("mfdcm", "mkernel"):
-                est = pd_correct(est)[0]
+                est = pd_correct(est, where=f"replication {rep}, test point {k}")[0]
             scores[mi, k] = (*losses(est, truth), *sparsity_rates(est, truth))
     return scores
 

@@ -254,8 +254,14 @@ def default_cn(matrix: np.ndarray) -> float:
     return 1e-4 * top if top > 0 else 1e-8
 
 
-def pd_correct(matrix: np.ndarray, c_n: float | None = None) -> tuple[np.ndarray, PDCorrection]:
-    """Shift a symmetric matrix by (delta_hat + c_n) I when its smallest eigenvalue is <= 0."""
+def pd_correct(
+    matrix: np.ndarray, c_n: float | None = None, where: str = ""
+) -> tuple[np.ndarray, PDCorrection]:
+    """Shift a symmetric matrix by (delta_hat + c_n) I when its smallest eigenvalue is <= 0.
+
+    A LinAlgError from the eigenvalues names ``where``, the caller's location
+    of the matrix (a query point, a day, a replication's test point).
+    """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError("matrix must be square")
@@ -266,7 +272,11 @@ def pd_correct(matrix: np.ndarray, c_n: float | None = None) -> tuple[np.ndarray
         c_n = default_cn(matrix)
     if c_n <= 0:
         raise ValueError("c_n must be > 0")
-    mu_min = float(np.linalg.eigvalsh(matrix)[0])
+    try:
+        mu_min = float(np.linalg.eigvalsh(matrix)[0])
+    except np.linalg.LinAlgError as exc:
+        at = f" at {where}" if where else ""
+        raise np.linalg.LinAlgError(f"PD correction{at}: eigvalsh failed: {exc}") from exc
     if mu_min > 0:
         return matrix, PDCorrection(delta_hat=0.0, c_n=c_n, applied=False)
     delta_hat = -mu_min

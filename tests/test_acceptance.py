@@ -359,7 +359,7 @@ def test_criterion_10_cli_determinism(tmp_path):
         sim_flags = [
             "simulate", "--model", "1", "--p", "4", "--d", "2", "--n", "30",
             "--reps", "2", "--methods", "fdcm:soft,static:soft", "--trees", "8",
-            "--folds", "3", "--seed", "2", "--out", str(out),
+            "--min-leaf", "3", "--folds", "3", "--seed", "2", "--out", str(out),
         ]
         artifacts = (out.with_suffix(".csv"), out.with_suffix(".txt"))
 
@@ -383,7 +383,7 @@ def test_criterion_10_cli_determinism(tmp_path):
             "backtest", "--panel", str(panel_csv),
             "--response-cols", "y1,y2,y3", "--covariate-cols", "u1,u2",
             "--method", "mfdcm:soft", "--window", "12", "--trees", "8",
-            "--min-leaf", "2", "--folds", "2", "--stride", "2",
+            "--min-leaf", "1", "--folds", "2", "--stride", "2",
             "--seed", "0", "--out", str(bt_out),
         ]
         artifacts = (

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dyncov import _streams, cli, forest, portfolio, simulation
-from dyncov.cli import EXIT_OK, EXIT_USAGE, main
+from dyncov.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from dyncov.data import CsvLayout, write_returns_csv
 from dyncov.simulation import ModelSpec, sample_dataset
 
@@ -29,6 +29,22 @@ def _replace_cell(path, line, column, cell):
     row[column - 1] = cell
     lines[line - 1] = ",".join(row)
     path.write_text("\n".join(lines) + "\n")
+
+
+ROOT_SPLIT_RULE = "a root split needs floor(s/2) >= 2*min_leaf"
+
+
+def _eigvalsh_fails(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+
+
+def _one_runtime_error(capsys) -> str:
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("runtime error: ")
+    return lines[0]
 
 
 SIM_FLAGS = [
@@ -74,6 +90,32 @@ class TestSimulate:
         assert "min_leaf=9 exceeds the J2 half-sample size floor(s/2)=7" in capsys.readouterr().err
         assert not out.with_suffix(".csv").exists()
 
+    def test_unsplittable_root_refused_before_sampling(self, tmp_path, capsys, monkeypatch):
+        # n=20 gives s=10 and |J2|=5: a root split needs 10 J2 rows at min_leaf 5,
+        # so every tree would be a single leaf.
+        def started(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(simulation, "sample_dataset", started)
+        out = tmp_path / "x"
+        code = main(["simulate", "--model", "1", "--p", "5", "--d", "3", "--n", "20",
+                     "--out", str(out)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert ROOT_SPLIT_RULE in err and "floor(s/2)=5 (s=10) and min_leaf=5" in err
+        assert not out.with_suffix(".csv").exists()
+
+    def test_failed_pd_correction_names_replication_and_point(self, tmp_path, capsys,
+                                                             monkeypatch):
+        _eigvalsh_fails(monkeypatch)
+        code = main(SIM_FLAGS + ["--methods", "mfdcm:soft", "--min-leaf", "3",
+                                 "--out", str(tmp_path / "x")])
+        assert code == EXIT_RUNTIME
+        assert _one_runtime_error(capsys) == (
+            "runtime error: PD correction at replication 0, test point 0: "
+            "eigvalsh failed: Eigenvalues did not converge"
+        )
+
     def test_too_few_rows_for_folds_is_usage_error(self, tmp_path, capsys):
         # n=30 cannot hold 16 folds of two rows; every simulate arm runs that CV.
         out = tmp_path / "x"
@@ -113,7 +155,8 @@ class TestSimulate:
         bodies = []
         for methods in ("fdcm", "fdcm:soft"):
             out = tmp_path / methods.replace(":", "_")
-            assert main(SIM_FLAGS + ["--methods", methods, "--out", str(out)]) == EXIT_OK
+            argv = SIM_FLAGS + ["--methods", methods, "--min-leaf", "3", "--out", str(out)]
+            assert main(argv) == EXIT_OK
             lines = out.with_suffix(".csv").read_text().splitlines()
             bodies.append([line for line in lines if not line.startswith("#")])
         assert bodies[0] == bodies[1]
@@ -185,7 +228,7 @@ class TestEstimate:
         code = main([
             "estimate", "--train", str(train), "--query", str(query),
             "--response-cols", "y1,y2,y3,y4,y5,y6", "--covariate-cols", "u1",
-            "--trees", "5", "--min-leaf", "2", "--stage", "raw",
+            "--trees", "5", "--min-leaf", "1", "--stage", "raw",
             "--out-dir", str(out_dir),
         ])
         assert code == EXIT_OK
@@ -237,6 +280,34 @@ class TestEstimate:
         assert code == EXIT_USAGE
         assert "min_leaf=11 exceeds the J2 half-sample size floor(s/2)=10" in capsys.readouterr().err
         assert not out_dir.exists()
+
+    def test_unsplittable_root_refused_before_training(self, tmp_path, capsys, monkeypatch):
+        # 12 rows give s=6 and |J2|=3: leaves of 2 fit, but no split into two.
+        train, query, _ = self._common(tmp_path, T=12)
+        monkeypatch.setattr(forest, "grow_tree", None)  # growing a tree would raise TypeError
+        out_dir = tmp_path / "est"
+        code = main([
+            "estimate", "--train", str(train), "--query", str(query),
+            "--response-cols", "y1,y2,y3", "--covariate-cols", "u1,u2",
+            "--trees", "4", "--min-leaf", "2", "--folds", "2", "--out-dir", str(out_dir),
+        ])
+        assert code == EXIT_USAGE
+        assert ROOT_SPLIT_RULE in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_failed_pd_correction_names_query_point(self, tmp_path, capsys, monkeypatch):
+        train, query, _ = self._common(tmp_path)
+        _eigvalsh_fails(monkeypatch)
+        code = main([
+            "estimate", "--train", str(train), "--query", str(query),
+            "--response-cols", "y1,y2,y3", "--covariate-cols", "u1,u2",
+            "--trees", "4", "--folds", "3", "--out-dir", str(tmp_path / "est"),
+        ])
+        assert code == EXIT_RUNTIME
+        assert _one_runtime_error(capsys) == (
+            "runtime error: PD correction at query point 0: "
+            "eigvalsh failed: Eigenvalues did not converge"
+        )
 
     def test_unknown_rule_is_usage_error(self, tmp_path, capsys):
         train, query, _ = self._common(tmp_path)
@@ -292,7 +363,7 @@ class TestEstimate:
         code = main([
             "estimate", "--train", str(train), "--query", str(query),
             "--response-cols", "y1,y2,y3", "--covariate-cols", "u1,u2",
-            "--trees", "4", "--min-leaf", "2", "--out-dir", str(tmp_path / "est"), *flags,
+            "--trees", "4", "--min-leaf", "1", "--out-dir", str(tmp_path / "est"), *flags,
         ])
         assert code == EXIT_OK
 
@@ -302,7 +373,8 @@ class TestEstimate:
         argv = [
             "estimate", "--train", str(train), "--query", str(query),
             "--response-cols", "y1,y2,y3", "--covariate-cols", "u1,u2",
-            "--trees", "2", "--min-leaf", "1", "--out-dir", str(tmp_path / "est"),
+            "--trees", "2", "--min-leaf", "1", "--subsample", "4",
+            "--out-dir", str(tmp_path / "est"),
         ]
         with monkeypatch.context() as patch:
             patch.setattr(forest, "grow_tree", None)  # growing a tree would raise TypeError
@@ -363,6 +435,25 @@ class TestBacktest:
         assert not out.with_suffix(".summary.txt").exists()
         code, _ = self._run(tmp_path, extra=["--method", "static:soft"], out="static")
         assert code == EXIT_OK
+
+    def test_unsplittable_root_refuses_only_the_forest_arm(self, tmp_path, capsys):
+        # window 10 gives s=5 and |J2|=2: leaves of 2 fit, but no split into two.
+        extra = ["--min-leaf", "2", "--folds", "2"]
+        code, out = self._run(tmp_path, extra=extra + ["--method", "mfdcm:soft"])
+        assert code == EXIT_USAGE
+        assert ROOT_SPLIT_RULE in capsys.readouterr().err
+        assert not out.with_suffix(".summary.txt").exists()
+        code, _ = self._run(tmp_path, extra=extra, out="identity")
+        assert code == EXIT_OK
+
+    def test_failed_pd_correction_names_the_day(self, tmp_path, capsys, monkeypatch):
+        _eigvalsh_fails(monkeypatch)
+        code, out = self._run(tmp_path, extra=["--method", "static:soft"])
+        assert code == EXIT_RUNTIME
+        assert _one_runtime_error(capsys) == (
+            "runtime error: PD correction at day 0: eigvalsh failed: Eigenvalues did not converge"
+        )
+        assert not out.with_suffix(".summary.txt").exists()
 
     def test_window_too_small_for_folds_refuses_only_the_forest_arm(self, tmp_path, capsys):
         extra = ["--min-leaf", "2", "--folds", "6"]
@@ -649,7 +740,7 @@ class TestWorkerDeterminism:
         flags = [
             "simulate", "--model", "1", "--p", "4", "--d", "2", "--n", "30",
             "--reps", "1", "--methods", "fdcm:soft", "--trees", "8",
-            "--folds", "3", "--seed", "2",
+            "--min-leaf", "3", "--folds", "3", "--seed", "2",
         ]
         a, b = tmp_path / "w1", tmp_path / "w8"
         assert main(flags + ["--workers", "1", "--out", str(a)]) == EXIT_OK

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from dyncov.forest import (
     subsample,
     train_forest,
     weight_vector,
+    WINDOW,
     _scan,
     _target_gram,
     _workspace,
@@ -189,12 +191,18 @@ class TestBestSplit:
                     assert got[1] == ref[1]
 
 
+# |J1| = ceil(ceil(n/2)/2): n = 4|J1| gives root blocks at and around the
+# window size and its multiples, and n up to 800 gives |J1| up to 200.
+_WINDOW_EDGES = [4 * WINDOW + k for k in (-4, 0, 4)] + [8 * WINDOW, 8 * WINDOW + 4]
+
+
 class TestSplitSearchIdentity:
-    """The one-scan split search grows the trees of the per-feature loop bit for bit."""
+    """The one-scan split search grows the trees of the per-feature loop bit for
+    bit, with root blocks of one window and of several."""
 
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
-        n=st.integers(8, 100),
+        n=st.one_of(st.integers(8, 100), st.sampled_from(_WINDOW_EDGES), st.integers(101, 800)),
         p=st.integers(1, 4),
         d=st.integers(1, 5),
         mtry=st.integers(1, 5),
@@ -231,7 +239,7 @@ class TestScanWorkspace:
 
     @settings(max_examples=150, deadline=None)
     @given(
-        size=st.integers(2, 24),
+        size=st.one_of(st.integers(2, 24), st.integers(WINDOW - 2, 3 * WINDOW + 2)),
         n_features=st.integers(1, 4),
         root=st.booleans(),
         min_child_j2=st.integers(1, 3),
@@ -243,10 +251,9 @@ class TestScanWorkspace:
         gen = np.random.default_rng(seed)
         gram = _target_gram(gen.standard_normal((size, 3)), kind)
         workspace = _workspace(size)
-        for buf in workspace:
-            buf.fill(np.nan)
-        # The root block (m1 = |J1|) fills both buffers; a node's block then
-        # reuses their first entries.
+        workspace.fill(np.nan)
+        # The root block (m1 = |J1|) passes all its windows through the
+        # workspace; a node's block then reuses its first entries.
         root_args = (gen.uniform(-1, 1, (n_features, size)), gen.uniform(-1, 1, (n_features, 8)),
                      gram, gen.permutation(size), 1)
         assert _scan(*root_args, workspace) == _scan(*root_args)
@@ -344,6 +351,20 @@ class TestGrowTree:
             grow_tree(ds, np.arange(3), np.arange(3, 6), ResponseKind.MEAN,
                       cfg, np.random.default_rng(0))
 
+    def test_growth_memory_is_one_gram_matrix(self):
+        # At |J1| = 1000 the Gram matrix is 8 MB; the windows add about 1 MB.
+        size = 1000
+        ds = make_dataset(n=2 * size, p=3, d=2, seed=4)
+        cfg = ForestConfig(n_trees=1, subsample_size=2 * size, min_leaf=5, mtry=2)
+        j1, j2 = np.arange(0, 2 * size, 2), np.arange(1, 2 * size, 2)
+        tracemalloc.start()
+        try:
+            grow_tree(ds, j1, j2, ResponseKind.SECOND_MOMENT, cfg, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * size**2 * 8
+
     def test_structural_invariants(self):
         ds = make_dataset(n=80, p=3, d=2, seed=3)
         cfg = ForestConfig(n_trees=20, subsample_size=60, min_leaf=3,
@@ -405,6 +426,14 @@ class TestTrainForest:
             train_forest(ds, ForestConfig(regularity=0.5), ResponseKind.MEAN, 0)
         with pytest.raises(ValueError, match="mtry must satisfy"):
             train_forest(ds, ForestConfig(mtry=3, min_leaf=2), ResponseKind.MEAN, 0)
+
+    def test_main_forest_needs_a_root_split(self):
+        # s=8 leaves |J2|=4, two leaves of 2; s=7 leaves 3, one leaf of 2 only.
+        assert ForestConfig(subsample_size=8, min_leaf=2).resolve_main(10, 1).subsample_size == 8
+        short = ForestConfig(subsample_size=7, min_leaf=2)
+        assert short.resolve(10, 1).subsample_size == 7  # what fold forests are held to
+        with pytest.raises(ValueError, match=r"root split needs floor\(s/2\) >= 2\*min_leaf"):
+            short.resolve_main(10, 1)
 
 
 class TestConcat:

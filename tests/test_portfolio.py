@@ -141,7 +141,7 @@ class TestBacktest:
 
     def test_no_lookahead_mfdcm(self):
         panel = _model_panel(26, p=3)
-        cfg = ForestConfig(n_trees=10, min_leaf=2)
+        cfg = ForestConfig(n_trees=10, min_leaf=1)
         kw = dict(window=12, forest_config=cfg, folds=2, stride=2)
         full = backtest(panel, MethodSpec.parse("mfdcm:soft"), **kw)
         truncated = backtest(panel.subset(np.arange(20)), MethodSpec.parse("mfdcm:soft"), **kw)
@@ -154,6 +154,19 @@ class TestBacktest:
         panel = Dataset(y, u, dates=tuple(f"d{i}" for i in range(T)))
         result = backtest(panel, MethodSpec("identity"), window=10)
         assert result.dates == tuple(f"d{i}" for i in range(10, 15))
+
+    def test_failed_pd_correction_names_the_dated_day(self, monkeypatch):
+        T = 15
+        y = np.random.default_rng(1).standard_normal((T, 2))
+        u = np.random.default_rng(2).uniform(-1, 1, (T, 1))
+        panel = Dataset(y, u, dates=tuple(f"d{i}" for i in range(T)))
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(np.linalg.LinAlgError, match="^PD correction at day d10: eigvalsh"):
+            backtest(panel, MethodSpec.parse("static:soft"), window=10, folds=2)
 
     def test_window_validation(self):
         panel = _model_panel(20, p=2)
