@@ -72,10 +72,12 @@ class Dataset:
         go stale.
         """
         if self._fingerprint is None:
+            # y and u are C-contiguous, so hashing their buffers reads the
+            # bytes that tobytes() would copy.
             h = hashlib.sha256()
-            h.update(np.int64([self.n, self.p, self.d]).tobytes())
-            h.update(self.y.tobytes())
-            h.update(self.u.tobytes())
+            h.update(np.int64([self.n, self.p, self.d]))
+            h.update(self.y)
+            h.update(self.u)
             object.__setattr__(self, "_fingerprint", h.hexdigest())
         return self._fingerprint
 

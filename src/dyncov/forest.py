@@ -16,13 +16,24 @@ of the merged J1/J2 values, whose adjacent distinct values give the candidate
 thresholds at their midpoints.  Every feasible delta of every candidate goes
 into one array, and its first maximum picks the split, so on equal deltas
 the lowest feature, then the lowest threshold, wins.  Only the m1 x m1 work
-runs per candidate: its block of the tree's Gram matrix, in the candidate's
-sorted order, is streamed through a window of WINDOW rows and reduced to the
-prefix sums the delta needs, with every sum's operands in the order of a
-whole-block pass.  The window is one workspace per tree of (2w + 1) |J1|
-floats, w = min(WINDOW, |J1|), so growth holds the |J1|^2 Gram matrix and
-little else, and the nodes of a tree reuse memory instead of mapping fresh
-blocks.
+runs per candidate: its block B of the tree's Gram matrix, in the
+candidate's sorted order, is streamed through a window of WINDOW rows and
+reduced to the prefix sums the delta needs.  The window is one workspace per
+tree of (2w + 1) |J1| floats, w = min(WINDOW, |J1|), so growth holds the
+|J1|^2 Gram matrix and little else, and the nodes of a tree reuse memory
+instead of mapping fresh blocks.
+
+A node of at most WINDOW J1 rows is scanned exactly: every sum has the
+operands and order of a whole-block pass (column prefix sums, then row
+prefix sums, read on the diagonal).  A wider node takes one masked pass per
+window instead.  B is symmetric, so the double prefix sum steps as D[k] =
+D[k-1] + 2 L[k] + B[k, k], with L[k] the sum of row k left of the diagonal:
+each window gathers only the columns left of its end, zeroes its entries on
+and above the diagonal, and takes one row and one column reduction.  Its
+sums run in another order, so the pass keeps its split only where an error
+bound proves it is the exact scan's; the bound and its derivation are in
+``_scan``.  Otherwise, or on a NaN, the node is rescanned exactly, so the
+trees are the exact scan's bit for bit.
 
 Layout.  A :class:`Forest` holds its trees in one set of flat arrays over
 all its nodes, and a tree is a forest of one: ``grow_tree`` returns a
@@ -225,7 +236,8 @@ WINDOW = 64  # Gram block rows that _scan reduces at a time
 def _workspace(size: int) -> np.ndarray:
     """One flat buffer of (2w + 1) * size floats, w = min(WINDOW, size), for
     ``_scan``'s Gram windows: w gathered rows of the tree's Gram matrix, and
-    w + 1 rows of a candidate's block, the first of them the carry row.
+    w + 1 rows of a candidate's block, the first of them the carry row of
+    the exact scan (the masked pass uses w rows, cut at the window's end).
 
     A tree makes one and all its nodes reuse it: under glibc's malloc,
     freeing it lets the next tree's come from the heap and reuse its pages
@@ -246,6 +258,35 @@ def _scan(v1, v2, gram, rows, min_child_j2, workspace=None):
     at least (2w + 1) * len(gram) floats whose contents are overwritten (see
     :func:`_workspace`; one is made when none is given), so a tree's nodes
     reuse the same memory.
+
+    A node of at most WINDOW J1 rows is scanned exactly (``_exact_prefixes``).
+    A wider node first takes the masked pass (``_masked_prefixes``), whose
+    sums run in another order.  Its split is kept only when its (candidate,
+    n_left) group beats every other group by more than 64 u A, u = 2^-53,
+    A = (sum_k sqrt(B[k, k]))^2 over the node's rows; otherwise the node is
+    rescanned exactly.  The delta returned is that of the scan that settled
+    the split.  Both arithmetics return the same split:
+
+    - The Gram matrix is PSD (Y Y^T, or its Schur square for second
+      moments), so |B[i, j]| <= sqrt(B[i, i] B[j, j]) by Cauchy-Schwarz, and
+      any sum of |B[i, j]| over the block is at most A.  The matrix as
+      rounded exceeds this by a relative O(p u), inside the slack below.
+    - The delta reads three prefix quantities: D[k], P[k], the prefix sum of
+      the row sums R, and T, their total.  Each is a sum of block entries
+      whose absolute values add to at most A (D[k] = sum_{i,j<=k} B[i, j]:
+      the pass's weight 2 on B[k, j], j < k, stands for B[k, j] and B[j, k]).
+      Each entry passes through at most 2 m1 + 1 roundings in either
+      arithmetic, so each quantity is within gamma_{2 m1 + 1} A, gamma_n =
+      n u / (1 - n u), of its exact value (Higham 2002, ch. 4).
+    - The delta at n_left = l, n_right = r = m1 - l weighs those errors by
+      (r/l + 4 + 4 l/r) / m1^2 < 5 / m1, and its own formula rounds by under
+      u A for m1 > 64, so each delta is within about 11 u A of its exact
+      value in either arithmetic.
+    - Thresholds of one candidate with the same n_left read the same
+      prefixes, so their deltas are equal bit for bit in both arithmetics
+      and first max takes the lowest of them.  A group that beats every
+      other group by more than four such errors (48 u A) in one arithmetic
+      is the strict maximum in the other as well.
     """
     m1, m2 = v1.shape[1], v2.shape[1]
     order = np.argsort(v1, axis=1, kind="stable")
@@ -273,22 +314,78 @@ def _scan(v1, v2, gram, rows, min_child_j2, workspace=None):
     if len(cand) == 0:
         return None
 
-    # Prefix quantities over each candidate's sorted J1 points: after taking
-    # the first m points left, ||S_left||^2 is the double prefix sum and
-    # S_left . S_total is the prefix of row sums.  Rows a:b of the block are
-    # gathered into g, a C-contiguous array of whole rows, since the row
-    # sums' pairwise order follows the memory layout.  The column prefix
-    # sums continue from the carry, the last column-prefix row of the
-    # previous window, kept in the row above g (the first window has none,
-    # so its first row is taken as is); the row prefix sums stop at column b,
-    # since only the diagonal is read.
     sorted_rows = rows[order]
-    double_prefix = np.zeros((len(v1), m1))
-    row_sums = np.zeros((len(v1), m1))
+    scanned = np.flatnonzero(feasible.any(axis=1))
+    nl = n1_left[cand, t]
+    if workspace is None:
+        workspace = _workspace(len(gram))
+    exact = m1 <= WINDOW
+    if not exact:
+        delta = _delta(_masked_prefixes(gram, sorted_rows, scanned, workspace), cand, nl, m1)
+        best = int(np.argmax(delta))
+        # The winner's group, pairs best:after, shares its candidate and
+        # n_left; every pair outside it must fall short of the top by more
+        # than the bound.  A NaN fails the comparison: the exact scan runs.
+        end = cand.searchsorted(cand[best], side="right")
+        after = best + nl[best:end].searchsorted(nl[best], side="right")
+        bound = 64 * 2.0**-53 * np.sqrt(gram.diagonal()[rows]).sum() ** 2
+        limit = delta[best] - bound
+        exact = not (
+            delta[:best].max(initial=-np.inf) < limit and delta[after:].max(initial=-np.inf) < limit
+        )
+    if exact:
+        delta = _delta(_exact_prefixes(gram, sorted_rows, scanned, workspace), cand, nl, m1)
+        best = int(np.argmax(delta))
+    # First max: the first candidate reaching the best delta, at its lowest threshold.
+    return float(delta[best]), int(cand[best]), float(thresholds[cand[best], t[best]])
+
+
+def _delta(prefixes, cand, nl, m1):
+    """Split scores at n_left = nl of candidates ``cand`` from the prefixes
+    (D, P, T) of ``_exact_prefixes`` or ``_masked_prefixes``: after taking
+    the first m points left, ||S_left||^2 = D[m - 1] and
+    S_left . S_total = P[m - 1]."""
+    double_prefix, dot_total_prefix, total_norm = prefixes
+    nr = m1 - nl
+    s_left = double_prefix[cand, nl - 1]
+    d_left = dot_total_prefix[cand, nl - 1]
+    cross = d_left - s_left
+    s_right = total_norm[cand] - 2.0 * d_left + s_left
+    return (s_left / nl**2 - 2.0 * cross / (nl * nr) + s_right / nr**2) * nl * nr / m1**2
+
+
+def _exact_prefixes(gram, sorted_rows, scanned, workspace):
+    """(D, P, T) of the scanned candidates' blocks in whole-block order.
+
+    D[f, k] is the double prefix sum of candidate f's sorted block B at
+    (k, k), from its column prefix sums and then their row prefix sums;
+    P[f] the prefix sums and T[f] the sum of B's row sums.  Rows a:b of the
+    block are gathered into g, a C-contiguous array of whole rows, since the
+    row sums' pairwise order follows the memory layout.  A block of one
+    window is reduced in place.  Otherwise the column prefix sums continue
+    from the carry, the last column-prefix row of the previous window, kept
+    in the row above g (the first window has none, so its first row is taken
+    as is); the row prefix sums stop at column b, since only the diagonal is
+    read.
+    """
+    F, m1 = sorted_rows.shape
+    double_prefix = np.zeros((F, m1))
+    row_sums = np.zeros((F, m1))
     size = len(gram)
     w = min(WINDOW, size)
-    if workspace is None:
-        workspace = _workspace(size)
+    if m1 <= w:
+        taken = workspace[: m1 * size].reshape(m1, size)
+        g = workspace[w * size : w * size + m1 * m1].reshape(m1, m1)
+        for f in scanned:
+            r = sorted_rows[f]
+            # mode="clip" lets take write into out unbuffered; every index is in range.
+            gram.take(r, axis=0, out=taken, mode="clip")
+            taken.take(r, axis=1, out=g, mode="clip")
+            row_sums[f] = g.sum(axis=1)
+            g.cumsum(axis=0, out=g)
+            g.cumsum(axis=1, out=g)
+            double_prefix[f] = g.diagonal()
+        return double_prefix, row_sums.cumsum(axis=1), row_sums.sum(axis=1)
     windows = []
     for a in range(0, m1, w):
         b = min(a + w, m1)
@@ -296,10 +393,9 @@ def _scan(v1, v2, gram, rows, min_child_j2, workspace=None):
         block = workspace[w * size : w * size + (b - a + 1) * m1].reshape(b - a + 1, m1)
         g = block[1:]
         windows.append((a, b, taken, block, g, block if a else g, g[:, :b]))
-    for f in np.flatnonzero(feasible.any(axis=1)):
+    for f in scanned:
         r = sorted_rows[f]
         for a, b, taken, block, g, columns, lower in windows:
-            # mode="clip" lets take write into out unbuffered; every index is in range.
             gram.take(r[a:b], axis=0, out=taken, mode="clip")
             taken.take(r, axis=1, out=g, mode="clip")
             row_sums[f, a:b] = g.sum(axis=1)
@@ -308,19 +404,45 @@ def _scan(v1, v2, gram, rows, min_child_j2, workspace=None):
                 block[0] = g[-1]
             lower.cumsum(axis=1, out=lower)
             double_prefix[f, a:b] = g.diagonal(a)
-    dot_total_prefix = row_sums.cumsum(axis=1)
-    total_norm = row_sums.sum(axis=1)
+    return double_prefix, row_sums.cumsum(axis=1), row_sums.sum(axis=1)
 
-    nl = n1_left[cand, t]
-    nr = m1 - nl
-    s_left = double_prefix[cand, nl - 1]
-    d_left = dot_total_prefix[cand, nl - 1]
-    cross = d_left - s_left
-    s_right = total_norm[cand] - 2.0 * d_left + s_left
-    delta = (s_left / nl**2 - 2.0 * cross / (nl * nr) + s_right / nr**2) * nl * nr / m1**2
-    # First max: the first candidate reaching the best delta, at its lowest threshold.
-    best = int(np.argmax(delta))
-    return float(delta[best]), int(cand[best]), float(thresholds[cand[best], t[best]])
+
+def _masked_prefixes(gram, sorted_rows, scanned, workspace):
+    """(D, P, T) of ``_exact_prefixes`` from one masked pass per window.
+
+    The block B is symmetric, so with L[k] = sum_{j<k} B[k, j] the double
+    prefix sum steps as D[k] = D[k-1] + 2 L[k] + B[k, k], and row k sums to
+    L[k] + B[k, k] + U[k], U[k] = sum_{i>k} B[i, k].  Each window of rows
+    a:b is gathered at columns 0:b only, its entries on and above the
+    diagonal are zeroed, and then its row sums are L[a:b] and its column
+    sums add to U[0:b].  The sums run in another order than the exact
+    scan's, within the bound that ``_scan`` checks.
+    """
+    F, m1 = sorted_rows.shape
+    strict_left = np.zeros((F, m1))
+    below = np.zeros((F, m1))
+    diag = gram.diagonal()[sorted_rows]
+    size = len(gram)
+    w = WINDOW
+    upper = np.arange(w)[:, None] <= np.arange(w)  # on and above the diagonal
+    for f in scanned:
+        r = sorted_rows[f]
+        for a in range(0, m1, w):
+            b = min(a + w, m1)
+            taken = workspace[: (b - a) * size].reshape(b - a, size)
+            g = workspace[w * size : w * size + (b - a) * b].reshape(b - a, b)
+            gram.take(r[a:b], axis=0, out=taken, mode="clip")
+            taken.take(r[:b], axis=1, out=g, mode="clip")
+            np.copyto(g[:, a:], 0.0, where=upper[: b - a, : b - a])
+            g.sum(axis=1, out=strict_left[f, a:b])
+            below[f, :b] += g.sum(axis=0)
+    # In place, so that the pass holds no more arrays than the exact scan.
+    below += diag
+    below += strict_left  # row sums
+    total = below.sum(axis=1)
+    strict_left *= 2.0
+    strict_left += diag  # steps of the double prefix sum
+    return strict_left.cumsum(axis=1, out=strict_left), below.cumsum(axis=1, out=below), total
 
 
 def best_split(

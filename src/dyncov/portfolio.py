@@ -26,17 +26,21 @@ TRADING_DAYS_PER_YEAR = 252
 BACKTEST_METHODS = ("mfdcm", "mkernel", "static", "identity")
 
 
-def min_var_weights(sigma: np.ndarray) -> np.ndarray:
+def min_var_weights(sigma: np.ndarray, where: str = "") -> np.ndarray:
     """Global minimum-variance weights sigma^-1 1 / (1' sigma^-1 1).
 
     Short positions are allowed; the result is renormalized to sum to 1
-    exactly.  Raises on non-PD input.
+    exactly.  Raises on non-PD input, naming ``where``, the caller's
+    location (e.g. "day 3"), when one is given.
     """
     sigma = np.asarray(sigma, dtype=float)
     try:
         chol = np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError as exc:
-        raise ValueError("minimum-variance weights need a positive definite matrix") from exc
+        at = f" at {where}" if where else ""
+        raise ValueError(
+            f"minimum-variance weights{at} need a positive definite matrix: Cholesky failed: {exc}"
+        ) from exc
     ones = np.ones(sigma.shape[0])
     z = np.linalg.solve(chol, ones)
     w = np.linalg.solve(chol.T, z)
@@ -132,6 +136,7 @@ def backtest(
     for step, i in enumerate(range(window, T)):
         train = panel.subset(np.arange(i - window, i))
         u = panel.u[i]
+        day = panel.dates[i] if panel.dates is not None else step
         if spec.name == "identity":
             sigma = np.eye(p)
         else:
@@ -148,9 +153,8 @@ def backtest(
                 mat = kernel_dcm_baseline(
                     train, spec.kernel_covariate, u, spec.rule, folds=folds, grid_size=grid_size, seed=seed
                 )
-            day = panel.dates[i] if panel.dates is not None else step
             sigma = pd_correct(mat, where=f"day {day}")[0]
-        w = min_var_weights(sigma)
+        w = min_var_weights(sigma, where=f"day {day}")
         weights[step] = w
         daily[step] = float(w @ panel.y[i])
 

@@ -124,15 +124,23 @@ def test_points(d: int) -> np.ndarray:
     return rng.uniform(-1.0, 1.0, size=(N_TEST_POINTS, d))
 
 
-def losses(est: np.ndarray, truth: np.ndarray) -> tuple[float, float]:
-    """(Frobenius, spectral) distance between two symmetric matrices."""
+def losses(est: np.ndarray, truth: np.ndarray, where: str = "") -> tuple[float, float]:
+    """(Frobenius, spectral) distance between two symmetric matrices.
+
+    A LinAlgError from the eigenvalues names ``where``, the caller's location
+    (e.g. "replication 0, test point 3"), when one is given.
+    """
     est = np.asarray(est, dtype=float)
     truth = np.asarray(truth, dtype=float)
     if est.shape != truth.shape:
         raise ValueError("dimension mismatch")
     diff = est - truth
     fro = float(np.linalg.norm(diff))
-    spectral = float(np.abs(np.linalg.eigvalsh((diff + diff.T) / 2.0)).max())
+    try:
+        spectral = float(np.abs(np.linalg.eigvalsh((diff + diff.T) / 2.0)).max())
+    except np.linalg.LinAlgError as exc:
+        at = f" at {where}" if where else ""
+        raise np.linalg.LinAlgError(f"spectral loss{at}: eigvalsh failed: {exc}") from exc
     return fro, spectral
 
 
@@ -408,6 +416,7 @@ def _run_rep(config: ExperimentConfig, points: np.ndarray, rep: int) -> np.ndarr
 
     scores = np.empty((len(config.methods), len(points), 4))
     for k, u in enumerate(points):
+        where = f"replication {rep}, test point {k}"
         if forest_rules:
             raw = raw_cov(*forests, dataset, u)
             thresholded = {
@@ -423,8 +432,8 @@ def _run_rep(config: ExperimentConfig, points: np.ndarray, rep: int) -> np.ndarr
             else:  # kernel / mkernel
                 est = kernel_dcm_baseline(dataset, method.kernel_covariate, u, method.rule, **cv_args)
             if method.name in ("mfdcm", "mkernel"):
-                est = pd_correct(est, where=f"replication {rep}, test point {k}")[0]
-            scores[mi, k] = (*losses(est, truth), *sparsity_rates(est, truth))
+                est = pd_correct(est, where=where)[0]
+            scores[mi, k] = (*losses(est, truth, where), *sparsity_rates(est, truth))
     return scores
 
 

@@ -116,6 +116,17 @@ class TestSimulate:
             "eigvalsh failed: Eigenvalues did not converge"
         )
 
+    def test_failed_spectral_loss_names_replication_and_point(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # static:soft makes no PD correction, so the loss is the first eigvalsh.
+        _eigvalsh_fails(monkeypatch)
+        code = main(SIM_FLAGS + ["--out", str(tmp_path / "x")])
+        assert code == EXIT_RUNTIME
+        assert _one_runtime_error(capsys) == (
+            "runtime error: spectral loss at replication 0, test point 0: "
+            "eigvalsh failed: Eigenvalues did not converge"
+        )
+
     def test_too_few_rows_for_folds_is_usage_error(self, tmp_path, capsys):
         # n=30 cannot hold 16 folds of two rows; every simulate arm runs that CV.
         out = tmp_path / "x"
@@ -452,6 +463,25 @@ class TestBacktest:
         assert code == EXIT_RUNTIME
         assert _one_runtime_error(capsys) == (
             "runtime error: PD correction at day 0: eigvalsh failed: Eigenvalues did not converge"
+        )
+        assert not out.with_suffix(".summary.txt").exists()
+
+    def test_failed_cholesky_names_the_day(self, tmp_path, capsys, monkeypatch):
+        panel = tmp_path / "panel.csv"
+        _write_panel(panel, T=30, p=2, d=2, seed=5)
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", fail)
+        out = tmp_path / "bt"
+        code = main(["backtest", "--panel", str(panel), "--response-cols", "y1,y2",
+                     "--covariate-cols", "u1,u2", "--method", "identity", "--window", "10",
+                     "--out", str(out)])
+        assert code == EXIT_RUNTIME
+        assert _one_runtime_error(capsys) == (
+            "runtime error: minimum-variance weights at day 0 need a positive definite matrix: "
+            "Cholesky failed: Matrix is not positive definite"
         )
         assert not out.with_suffix(".summary.txt").exists()
 

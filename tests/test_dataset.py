@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -69,6 +70,19 @@ class TestDataset:
         first = a.fingerprint()
         assert a.fingerprint() is first
         assert Dataset(a.y.copy(), a.u.copy()).fingerprint() == first
+
+    def test_fingerprint_digest_is_the_copying_formula(self):
+        # The digest reads y and u through their buffers; it must stay the
+        # sha256 of the shape then the tobytes() copies, for any input layout.
+        gen = np.random.default_rng(11)
+        y = np.asfortranarray(gen.standard_normal((7, 4)))
+        u = gen.standard_normal((7, 6))[:, ::2]
+        for ds in (Dataset(y, u), Dataset(y, u).subset([5, 0, 3])):
+            h = hashlib.sha256()
+            h.update(np.int64([ds.n, ds.p, ds.d]).tobytes())
+            h.update(ds.y.tobytes())
+            h.update(ds.u.tobytes())
+            assert ds.fingerprint() == h.hexdigest()
 
     def test_subset_keeps_dates(self):
         ds = Dataset(np.arange(6.0).reshape(3, 2), np.zeros((3, 1)), dates=("a", "b", "c"))

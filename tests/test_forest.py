@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from dyncov import forest as forest_module
 from dyncov.data import Dataset
 from dyncov.forest import (
     Forest,
@@ -30,6 +31,7 @@ from tests.conftest import (
     loop_weights,
     make_dataset,
     oracle_weights,
+    reference_best_split_on_feature,
     reference_forest,
     route_independent,
     same_forest,
@@ -269,6 +271,88 @@ class TestScanWorkspace:
         inner = y @ y.T
         assert _target_gram(y, ResponseKind.MEAN).tobytes() == inner.tobytes()
         assert _target_gram(y, ResponseKind.SECOND_MOMENT).tobytes() == (inner**2).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(m=st.integers(1, 200), p=st.integers(1, 50), kind=st.sampled_from(list(ResponseKind)),
+           seed=st.integers(0, 2**16))
+    def test_gram_is_exactly_symmetric(self, m, p, kind, seed):
+        # The masked pass reads row k left of the diagonal for column k below it.
+        gram = _target_gram(np.random.default_rng(seed).standard_normal((m, p)), kind)
+        assert np.array_equal(gram, gram.T)
+
+
+def _wide_node(m1, n_features, style, seed):
+    """(v1, v2) of a node with m1 J1 rows and 30 J2 rows.  "duplicated":
+    every candidate is one feature; "mirrored": that feature and its negative
+    alternate; "rounded": independent features rounded to 0.1."""
+    gen = np.random.default_rng(seed)
+    if style == "rounded":
+        return (np.round(gen.uniform(-1, 1, (n_features, m1)), 1),
+                np.round(gen.uniform(-1, 1, (n_features, 30)), 1))
+    sign = np.where(np.arange(n_features) % 2, -1.0, 1.0) if style == "mirrored" else 1.0
+    v1, v2 = gen.uniform(-1, 1, m1), gen.uniform(-1, 1, 30)
+    return np.outer(sign, v1), np.outer(sign, v2)
+
+
+def _exact_best(v1, v2, node_gram, min_child_j2):
+    """(candidate, threshold) of the per-feature reference scan: on equal
+    deltas the lowest candidate, then the lowest threshold, wins."""
+    best = None
+    for f in range(len(v1)):
+        hit = reference_best_split_on_feature(v1[f], v2[f], node_gram, min_child_j2)
+        if hit is not None and (best is None or hit[0] > best[0]):
+            best = (hit[0], f, hit[1])
+    return None if best is None else best[1:]
+
+
+class TestWideNodeScan:
+    """Nodes wider than one window take the masked pass, and the error bound
+    sends every node it cannot settle to the exact scan: the split is the
+    exact scan's."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        size=st.integers(WINDOW + 1, 200),
+        data=st.data(),
+        n_features=st.integers(2, 4),
+        style=st.sampled_from(["mirrored", "duplicated", "rounded"]),
+        kind=st.sampled_from(list(ResponseKind)),
+        p=st.integers(1, 4),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_exact_scan(self, size, data, n_features, style, kind, p, seed):
+        m1 = data.draw(st.integers(WINDOW + 1, size))
+        gen = np.random.default_rng(seed)
+        gram = _target_gram(gen.standard_normal((size, p)), kind)
+        rows = gen.permutation(size)[:m1]
+        v1, v2 = _wide_node(m1, n_features, style, seed)
+        hit = _scan(v1, v2, gram, rows, 3, _workspace(size))
+        want = _exact_best(v1, v2, gram[np.ix_(rows, rows)], 3)
+        assert (None if hit is None else hit[1:]) == want
+
+    def _exact_scans(self, monkeypatch, v1, v2, gram):
+        calls = []
+        exact = forest_module._exact_prefixes
+
+        def counted(*args):
+            calls.append(args[1].shape)
+            return exact(*args)
+
+        monkeypatch.setattr(forest_module, "_exact_prefixes", counted)
+        _scan(v1, v2, gram, np.arange(len(gram)), 3)
+        return calls
+
+    def test_mirrored_node_takes_the_exact_scan(self, monkeypatch):
+        # u and -u reach the same deltas from opposite ends: no margin.
+        gram = _target_gram(np.random.default_rng(3).standard_normal((150, 2)), ResponseKind.MEAN)
+        v1, v2 = _wide_node(150, 2, "mirrored", 3)
+        assert self._exact_scans(monkeypatch, v1, v2, gram) == [(2, 150)]
+
+    def test_plain_node_takes_only_the_masked_pass(self, monkeypatch):
+        gen = np.random.default_rng(4)
+        gram = _target_gram(gen.standard_normal((150, 2)), ResponseKind.SECOND_MOMENT)
+        v1, v2 = gen.uniform(-1, 1, (3, 150)), gen.uniform(-1, 1, (3, 30))
+        assert self._exact_scans(monkeypatch, v1, v2, gram) == []
 
 
 def _traverse_leaves(tree):
