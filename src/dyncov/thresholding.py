@@ -207,6 +207,12 @@ class ForestCV:
     query point: scoring a candidate lambda at u only requires evaluating the
     per-fold raw estimates there.  ``seed`` draws the fold split and every
     fold forest.
+
+    A fold forest pair depends only on its rows (the config scales with
+    their count, the seed is the run's), so each distinct row set is fitted
+    once.  At 2 folds the folds swap roles, one's training rows being the
+    other's held-out rows, so 2 fits are trained, not 4; at V >= 3 all 2V
+    row sets differ.
     """
 
     def __init__(
@@ -220,15 +226,18 @@ class ForestCV:
         cfg = config.resolve(dataset.n, dataset.d)
         n_cv_trees = max(CV_MIN_TREES, cfg.n_trees // CV_TREE_DIVISOR)
         self.grid_size = grid_size
-        self._pairs = []
-        for train_idx, fold in _fold_splits(np.arange(dataset.n), folds, seed):
-            train_ds = dataset.subset(train_idx)
-            hold_ds = dataset.subset(fold)
-            train_cfg = _subset_config(cfg, len(train_idx), dataset.n, n_cv_trees)
-            hold_cfg = _subset_config(cfg, len(fold), dataset.n, n_cv_trees)
-            train_forests = train_cov_forests(train_ds, train_cfg, seed)
-            hold_forests = train_cov_forests(hold_ds, hold_cfg, seed)
-            self._pairs.append(((train_forests, train_ds), (hold_forests, hold_ds)))
+        fits = {}  # sorted row indices' bytes -> (forests, subset)
+
+        def fit(rows):
+            key = rows.tobytes()
+            if key not in fits:
+                sub = dataset.subset(rows)
+                sub_cfg = _subset_config(cfg, len(rows), dataset.n, n_cv_trees)
+                fits[key] = (train_cov_forests(sub, sub_cfg, seed), sub)
+            return fits[key]
+
+        self._pairs = [(fit(train_idx), fit(fold))
+                       for train_idx, fold in _fold_splits(np.arange(dataset.n), folds, seed)]
 
     def select(self, u: np.ndarray, rule: ThresholdRule, raw: np.ndarray) -> LambdaSelection:
         """Cross-validated penalty at u; the raw estimate at u fixes the grid's upper end."""
@@ -241,7 +250,8 @@ class ForestCV:
 
 @dataclass(frozen=True)
 class PDCorrection:
-    """Outcome of the positive-definiteness correction."""
+    """Outcome of the positive-definiteness correction: the shift added is
+    (delta_hat + c_n) I, with c_n the margin actually used."""
 
     delta_hat: float
     c_n: float
@@ -254,34 +264,77 @@ def default_cn(matrix: np.ndarray) -> float:
     return 1e-4 * top if top > 0 else 1e-8
 
 
+def _rounding_floor(p: int, size: float) -> float:
+    """2 (p+1)^2 u size, with u the unit roundoff; see ``pd_correct``."""
+    return 2.0 * (p + 1) ** 2 * (float(np.finfo(float).eps) / 2) * size
+
+
+def _factorizes(matrix: np.ndarray) -> bool:
+    try:
+        np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def pd_correct(
     matrix: np.ndarray, c_n: float | None = None, where: str = ""
 ) -> tuple[np.ndarray, PDCorrection]:
-    """Shift a symmetric matrix by (delta_hat + c_n) I when its smallest eigenvalue is <= 0.
+    """Shift a symmetric matrix by (delta_hat + c) I unless it is positive definite.
 
-    A LinAlgError from the eigenvalues names ``where``, the caller's location
-    of the matrix (a query point, a day, a replication's test point).
+    With mu the computed smallest eigenvalue, M is returned unchanged when
+    mu > 0 and M passes a Cholesky factorization.  Otherwise delta_hat =
+    max(0, -mu) and the margin c starts at max(c_n, t(N + delta_hat)), with
+    N = p max_ij |M_ij| (a bound on ||M||_F >= ||M||_2) and
+    t(x) = 2 (p+1)^2 u x (u the unit roundoff).  That floor makes the shifted
+    matrix pass Cholesky however small the diagonal is next to the rest,
+    as long as eigvalsh's error is within its model bound:
+
+    - eigvalsh is backward stable; model its error as |mu - mu_exact| <=
+      (p+1) u N (LAPACK's "modest function of p" times u ||M||_2 <= u N).
+    - Cholesky of A succeeds when lambda_min(A) > p g/(1-g) max_i a_ii,
+      g = (p+1)u/(1-(p+1)u) (Higham, Accuracy and Stability of Numerical
+      Algorithms, Thm 10.7); p g/(1-g) <= (p+1)^2 u while 2 (p+1)^2 u <= 1.
+    - Rounding the diagonal of M + s I, s = delta_hat + c, moves it by at
+      most u (N + s), so lambda_min >= c - (p+2) u N - u (delta_hat + c),
+      while max_i a_ii <= (1+u)(N + s); c >= t(N + delta_hat) covers both,
+      as 2 (p+1)^2 > (p+1)^2 + p + 2 with room for the O(p^2 u) terms.
+
+    eigvalsh can miss by more than that model (2.4e-13 ||M||_2 at p = 5,
+    for entries of 1e95 and 1e-62), so the shifted matrix is factorized,
+    and c grows 16-fold until it passes.  Where c_n already exceeds
+    t(N + delta_hat) and the first shift passes, c = c_n as before.  A
+    LinAlgError from the eigenvalues, or when no finite shift passes, names
+    ``where``, the caller's location of the matrix (a query point, a day, a
+    replication's test point).
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError("matrix must be square")
-    scale = max(1.0, float(np.abs(matrix).max(initial=0.0)))
-    if np.abs(matrix - matrix.T).max(initial=0.0) > 1e-12 * scale:
+    top = float(np.abs(matrix).max(initial=0.0))
+    if np.abs(matrix - matrix.T).max(initial=0.0) > 1e-12 * max(1.0, top):
         raise ValueError("matrix is not symmetric within tolerance")
     if c_n is None:
         c_n = default_cn(matrix)
     if c_n <= 0:
         raise ValueError("c_n must be > 0")
+    at = f" at {where}" if where else ""
     try:
         mu_min = float(np.linalg.eigvalsh(matrix)[0])
     except np.linalg.LinAlgError as exc:
-        at = f" at {where}" if where else ""
         raise np.linalg.LinAlgError(f"PD correction{at}: eigvalsh failed: {exc}") from exc
-    if mu_min > 0:
+    if mu_min > 0 and _factorizes(matrix):
         return matrix, PDCorrection(delta_hat=0.0, c_n=c_n, applied=False)
-    delta_hat = -mu_min
-    shifted = matrix + (delta_hat + c_n) * np.eye(matrix.shape[0])
-    return shifted, PDCorrection(delta_hat=delta_hat, c_n=c_n, applied=True)
+    p = matrix.shape[0]
+    delta_hat = max(0.0, -mu_min)
+    c = max(c_n, _rounding_floor(p, p * top + delta_hat))
+    while True:
+        shifted = matrix + (delta_hat + c) * np.eye(p)
+        if _factorizes(shifted):
+            return shifted, PDCorrection(delta_hat=delta_hat, c_n=c, applied=True)
+        if not np.isfinite(shifted).all():
+            raise np.linalg.LinAlgError(f"PD correction{at}: no finite shift passes Cholesky")
+        c *= 16.0
 
 
 def precision(matrix: np.ndarray) -> np.ndarray:

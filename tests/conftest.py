@@ -11,7 +11,8 @@ import pytest
 
 from dyncov import _streams
 from dyncov import forest as forest_module
-from dyncov import simulation
+from dyncov import simulation, thresholding
+from dyncov.covariance import train_cov_forests
 from dyncov.data import CsvFormatError, Dataset, _col_pos
 from dyncov.forest import Forest, _scan, _target_gram
 from dyncov.thresholding import _cv_select, lambda_grid
@@ -414,6 +415,27 @@ def reference_cv_threshold(raw_full, raw_fn, order, rule, folds, grid_size, seed
     splits = ((np.setdiff1d(perm, part), np.sort(part)) for part in np.array_split(perm, folds))
     pairs = ((raw_fn(fit), raw_fn(held)) for fit, held in splits)
     return _cv_select(pairs, grid, rule).apply(raw_full)
+
+
+def reference_forest_cv_pairs(dataset, config, seed, folds):
+    """The ForestCV build that trained a train and a held-out forest pair for every fold.
+
+    Kept as the reference for ``ForestCV``, which fits each distinct fold row
+    set once: one ((forests, subset), (forests, subset)) pair per fold, in
+    fold order, the form ``ForestCV.select`` scores.
+    """
+    cfg = config.resolve(dataset.n, dataset.d)
+    n_cv_trees = max(thresholding.CV_MIN_TREES, cfg.n_trees // thresholding.CV_TREE_DIVISOR)
+    pairs = []
+    for train_idx, fold in thresholding._fold_splits(np.arange(dataset.n), folds, seed):
+        train_ds = dataset.subset(train_idx)
+        hold_ds = dataset.subset(fold)
+        train_cfg = thresholding._subset_config(cfg, len(train_idx), dataset.n, n_cv_trees)
+        hold_cfg = thresholding._subset_config(cfg, len(fold), dataset.n, n_cv_trees)
+        train_forests = train_cov_forests(train_ds, train_cfg, seed)
+        hold_forests = train_cov_forests(hold_ds, hold_cfg, seed)
+        pairs.append(((train_forests, train_ds), (hold_forests, hold_ds)))
+    return pairs
 
 
 def _reference_forest_estimates(dataset, config, points, rules):

@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dyncov import thresholding
 from dyncov.covariance import raw_cov, train_cov_forests
 from dyncov.data import Dataset
 from dyncov.forest import ForestConfig
@@ -11,6 +14,7 @@ from dyncov.thresholding import (
     ForestCV,
     LambdaSelection,
     ThresholdRule,
+    _cv_select,
     check_cv_folds,
     cv_threshold,
     default_cn,
@@ -19,7 +23,7 @@ from dyncov.thresholding import (
     precision,
     shrink,
 )
-from tests.conftest import reference_cv_threshold
+from tests.conftest import reference_cv_threshold, reference_forest_cv_pairs, same_forest
 
 RULES = [
     ThresholdRule("hard"),
@@ -271,6 +275,38 @@ class TestSelectLambda:
             ForestCV(ds, ForestConfig(n_trees=5, min_leaf=1), 0, folds=5)
 
 
+class TestForestCVFits:
+    @pytest.mark.parametrize("folds", [2, 3])
+    @pytest.mark.parametrize("n", [40, 41])
+    def test_matches_the_per_fold_reference(self, folds, n):
+        # Each distinct fold row set is fitted once; every fold forest, and
+        # every selection scored from them, is the per-fold loop's bit for bit.
+        ds = sample_dataset(ModelSpec(model=1, p=4, d=2, n=n), np.random.default_rng(n))
+        cfg = ForestConfig(n_trees=20, min_leaf=3)
+        with mock.patch.object(thresholding, "train_cov_forests",
+                               wraps=thresholding.train_cov_forests) as fits:
+            cv = ForestCV(ds, cfg, 7, folds=folds)
+        assert fits.call_count == (2 if folds == 2 else 2 * folds)
+        ref = reference_forest_cv_pairs(ds, cfg, 7, folds)
+        assert len(cv._pairs) == len(ref) == folds
+        for got_pair, want_pair in zip(cv._pairs, ref):
+            for (got_forests, got_ds), (want_forests, want_ds) in zip(got_pair, want_pair):
+                assert got_ds.fingerprint() == want_ds.fingerprint()
+                assert all(map(same_forest, got_forests, want_forests))
+        forests = train_cov_forests(ds, cfg.resolve(ds.n, ds.d), 7)
+        for u in ([0.0, 0.0], [0.5, -0.3], [-0.9, 0.8]):
+            u = np.array(u)
+            raw = raw_cov(*forests, ds, u)
+            for rule in (ThresholdRule("soft"), ThresholdRule("scad")):
+                got = cv.select(u, rule, raw)
+                pairs = ((raw_cov(*fit, fit_ds, u), raw_cov(*held, held_ds, u))
+                         for (fit, fit_ds), (held, held_ds) in ref)
+                want = _cv_select(pairs, lambda_grid(raw), rule)
+                assert got.lam == want.lam
+                assert got.grid.tobytes() == want.grid.tobytes()
+                assert got.cv_scores.tobytes() == want.cv_scores.tobytes()
+
+
 def _sample_cov(y):
     centered = y - y.mean(axis=0)
     return centered.T @ centered / len(y)
@@ -302,7 +338,37 @@ class TestCvThreshold:
                 cv_threshold(*args)
 
 
+# Entries 0 or of magnitude 1e-100 to 1e101, either sign: a diagonal can be
+# zero, negative or tiny next to the rest, and the factorizations neither
+# overflow nor underflow.
+_ENTRY = st.one_of(
+    st.just(0.0),
+    st.builds(lambda m, e, sign: sign * m * 10.0**e, st.floats(1.0, 10.0),
+              st.integers(-100, 100), st.sampled_from([-1.0, 1.0])),
+)
+
+
+@st.composite
+def _symmetric(draw):
+    p = draw(st.integers(1, 8))
+    upper = np.array(draw(st.lists(_ENTRY, min_size=p * (p + 1) // 2,
+                                   max_size=p * (p + 1) // 2)))
+    m = np.zeros((p, p))
+    m[np.triu_indices(p)] = upper
+    return m + np.triu(m, 1).T
+
+
 class TestPdCorrect:
+    @settings(max_examples=500, deadline=None)
+    @given(m=_symmetric())
+    @example(m=np.array([[1e-12, 1.0], [1.0, 1e-12]]))
+    @example(m=np.ones((3, 3)))
+    # eigvalsh misses lambda_min by 2.4e-13 ||M||_2 here, past the floor's model.
+    @example(m=np.array([[0, 0, 0, 0, -1e-62], [0, 0, 0, 0, 0], [0, 0, 0, 0, 0],
+                         [0, 0, 0, -1e-61, -1e95], [-1e-62, 0, 0, -1e95, 0]]))
+    def test_output_passes_cholesky(self, m):
+        np.linalg.cholesky(pd_correct(m)[0])
+
     def test_shift_identity(self):
         m = np.diag([-0.3, 1.0])
         out, info = pd_correct(m, c_n=0.01)
