@@ -85,12 +85,17 @@ def check_backtest_method(spec: MethodSpec) -> None:
 def check_backtest(spec: MethodSpec, n: int, d: int, window: int, stride: int,
                    forest_config: ForestConfig, folds: int) -> None:
     """Raise ValueError unless ``backtest`` can run ``spec`` on n panel rows of d
-    covariates: every arm but ``identity`` cross-validates on ``window`` rows,
-    and a forest arm's config must pass ``ForestConfig.resolve_main`` there."""
+    covariates: the n - window out-of-sample days must be at least 2, as
+    ``performance`` needs, every arm but ``identity`` cross-validates on
+    ``window`` rows, and a forest arm's config must pass
+    ``ForestConfig.resolve_main`` there."""
     check_backtest_method(spec)
     spec.check_covariate(d)
-    if n <= window:
-        raise ValueError(f"panel has {n} rows; needs more than window={window}")
+    if n < window + 2:
+        raise ValueError(
+            f"panel has {n} rows; window={window} needs at least {window + 2}"
+            " for 2 out-of-sample days"
+        )
     if window < 2:
         raise ValueError("window must be >= 2")
     if stride < 1:
@@ -134,7 +139,7 @@ def backtest(
     daily = np.empty(T - window)
     weights = np.empty((T - window, p))
     for step, i in enumerate(range(window, T)):
-        train = panel.subset(np.arange(i - window, i))
+        rows = np.arange(i - window, i)
         u = panel.u[i]
         day = panel.dates[i] if panel.dates is not None else step
         if spec.name == "identity":
@@ -142,16 +147,17 @@ def backtest(
         else:
             if spec.forest:
                 if step % stride == 0:
-                    fit = train
+                    fit = panel.subset(rows)
                     forests = train_cov_forests(fit, forest_config, seed)
                     cv = ForestCV(fit, forest_config, seed, folds=folds, grid_size=grid_size)
                 raw = raw_cov(*forests, fit, u)
                 mat = cv.select(u, spec.rule, raw).apply(raw)
             elif spec.name == "static":
-                mat = static_baseline(train, spec.rule, folds=folds, grid_size=grid_size, seed=seed)
+                mat = static_baseline(panel.subset(rows), spec.rule, folds=folds,
+                                      grid_size=grid_size, seed=seed)
             else:  # mkernel
                 mat = kernel_dcm_baseline(
-                    train, spec.kernel_covariate, u, spec.rule, folds=folds, grid_size=grid_size, seed=seed
+                    panel.subset(rows), spec.kernel_covariate, u, spec.rule, folds=folds, grid_size=grid_size, seed=seed
                 )
             sigma = pd_correct(mat, where=f"day {day}")[0]
         w = min_var_weights(sigma, where=f"day {day}")

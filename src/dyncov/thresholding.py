@@ -119,33 +119,42 @@ def lambda_grid(raw_matrix: np.ndarray, size: int = 20) -> np.ndarray:
     return np.concatenate([[0.0], np.geomspace(off * 1e-3, off, size)])
 
 
-def _cv_select(pairs, grid: np.ndarray, rule: ThresholdRule) -> LambdaSelection:
+def _cv_select(raw_at, folds, grid: np.ndarray, rule: ThresholdRule) -> LambdaSelection:
     """Pick the grid lambda minimizing the mean held-out Frobenius score.
 
-    ``pairs`` yields one (fit, held) pair of raw matrices per fold: the
-    estimate from the fold's training part and the one from its held-out part.
+    ``folds`` lists each fold's (training, held-out) indices into a
+    ``_fold_plan``'s row sets, and ``raw_at`` maps a set index to the raw
+    estimate on that set.  A set's matrix is kept only for the next fold, so
+    at 2 folds, where the folds swap roles, each is computed once.
     """
     scores = np.zeros(len(grid))
-    n_pairs = 0
-    for fit, held in pairs:
+    kept = {}
+    for fit, held in folds:
+        kept = {s: kept[s] if s in kept else raw_at(s) for s in (fit, held)}
         for g, lam in enumerate(grid):
-            diff = _shrink_offdiag(fit, lam, rule) - held
+            diff = _shrink_offdiag(kept[fit], lam, rule) - kept[held]
             scores[g] += float(np.sum(diff * diff))
-        n_pairs += 1
-    scores /= n_pairs
+    scores /= len(folds)
     return LambdaSelection(lam=float(grid[int(np.argmin(scores))]), grid=grid, cv_scores=scores, rule=rule)
 
 
-def _fold_splits(order: np.ndarray, folds: int, seed: int):
-    """Yield the sorted (train, held) row indices of each fold of a seeded V-fold split.
+def _fold_plan(order: np.ndarray, folds: int, seed: int):
+    """The distinct sorted row sets of a seeded V-fold split, and each fold's
+    (training, held-out) indices into them.
 
     The folds, checked by ``check_cv_folds`` first, partition ``order``, a
-    permutation of the rows, after one shuffle drawn from the seed's fold stream.
+    permutation of the rows, after one shuffle drawn from the seed's fold
+    stream.  At 2 folds one fold's training rows are the other's held-out
+    rows, so there are 2 sets and the folds are (0, 1) and (1, 0); at V >= 3
+    there are 2V sets, fold k being (2k, 2k + 1).
     """
     check_cv_folds(len(order), folds)
     perm = np.asarray(order)[_streams.substream(seed, _streams.FOLD).permutation(len(order))]
-    for part in np.array_split(perm, folds):
-        yield np.setdiff1d(perm, part), np.sort(part)
+    parts = np.array_split(perm, folds)
+    if folds == 2:
+        return [np.sort(parts[1]), np.sort(parts[0])], [(0, 1), (1, 0)]
+    sets = [rows for part in parts for rows in (np.setdiff1d(perm, part), np.sort(part))]
+    return sets, [(2 * k, 2 * k + 1) for k in range(folds)]
 
 
 def cv_threshold(raw_full: np.ndarray, raw_fn, order: np.ndarray, rule: ThresholdRule,
@@ -156,12 +165,14 @@ def cv_threshold(raw_full: np.ndarray, raw_fn, order: np.ndarray, rule: Threshol
     ``raw_full`` is its value on all rows.  A content-based ``order`` makes
     the selection invariant to permuting the sample rows.  The folds must
     pass ``check_cv_folds`` unless the grid is the single point 0.
+    ``raw_fn`` runs once on each distinct row set of the fold plan
+    (``_fold_plan``): 2 times at 2 folds, 2V times at V >= 3.
     """
     grid = lambda_grid(raw_full, size=grid_size)
     if len(grid) == 1:  # no off-diagonal mass; nothing to tune
         return raw_full.copy()
-    pairs = ((raw_fn(fit), raw_fn(held)) for fit, held in _fold_splits(order, folds, seed))
-    return _cv_select(pairs, grid, rule).apply(raw_full)
+    sets, plan = _fold_plan(order, folds, seed)
+    return _cv_select(lambda s: raw_fn(sets[s]), plan, grid, rule).apply(raw_full)
 
 
 def _subset_config(config: ForestConfig, m: int, n_full: int, n_trees: int) -> ForestConfig:
@@ -208,11 +219,11 @@ class ForestCV:
     per-fold raw estimates there.  ``seed`` draws the fold split and every
     fold forest.
 
-    A fold forest pair depends only on its rows (the config scales with
-    their count, the seed is the run's), so each distinct row set is fitted
-    once.  At 2 folds the folds swap roles, one's training rows being the
-    other's held-out rows, so 2 fits are trained, not 4; at V >= 3 all 2V
-    row sets differ.
+    One forest pair is trained on each distinct row set of the fold plan
+    (``_fold_plan``); a pair depends only on its rows, as the config scales
+    with their count and the seed is the run's.  At 2 folds the folds swap
+    roles, so 2 pairs are trained and ``select`` computes 2 raw estimates
+    per point; at V >= 3 it is 2V of each.
     """
 
     def __init__(
@@ -226,26 +237,17 @@ class ForestCV:
         cfg = config.resolve(dataset.n, dataset.d)
         n_cv_trees = max(CV_MIN_TREES, cfg.n_trees // CV_TREE_DIVISOR)
         self.grid_size = grid_size
-        fits = {}  # sorted row indices' bytes -> (forests, subset)
-
-        def fit(rows):
-            key = rows.tobytes()
-            if key not in fits:
-                sub = dataset.subset(rows)
-                sub_cfg = _subset_config(cfg, len(rows), dataset.n, n_cv_trees)
-                fits[key] = (train_cov_forests(sub, sub_cfg, seed), sub)
-            return fits[key]
-
-        self._pairs = [(fit(train_idx), fit(fold))
-                       for train_idx, fold in _fold_splits(np.arange(dataset.n), folds, seed)]
+        sets, self._folds = _fold_plan(np.arange(dataset.n), folds, seed)
+        self._fits = []  # (mean forest, second-moment forest, subset) per row set
+        for rows in sets:
+            sub = dataset.subset(rows)
+            sub_cfg = _subset_config(cfg, len(rows), dataset.n, n_cv_trees)
+            self._fits.append((*train_cov_forests(sub, sub_cfg, seed), sub))
 
     def select(self, u: np.ndarray, rule: ThresholdRule, raw: np.ndarray) -> LambdaSelection:
         """Cross-validated penalty at u; the raw estimate at u fixes the grid's upper end."""
-        pairs = (
-            (raw_cov(*train_forests, train_ds, u), raw_cov(*hold_forests, hold_ds, u))
-            for (train_forests, train_ds), (hold_forests, hold_ds) in self._pairs
-        )
-        return _cv_select(pairs, lambda_grid(raw, size=self.grid_size), rule)
+        return _cv_select(lambda s: raw_cov(*self._fits[s], u), self._folds,
+                          lambda_grid(raw, size=self.grid_size), rule)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dyncov import simulation, thresholding
 from dyncov.covariance import train_cov_forests
 from dyncov.data import CsvFormatError, Dataset, _col_pos
 from dyncov.forest import Forest, _scan, _target_gram
-from dyncov.thresholding import _cv_select, lambda_grid
+from dyncov.thresholding import _shrink_offdiag, check_cv_folds, lambda_grid
 
 
 def pytest_collection_modifyitems(items):
@@ -398,6 +398,38 @@ def reference_write_matrix_csv(path, matrix, header_lines=None):
             fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
+def reference_fold_splits(order, folds, seed):
+    """Yield the sorted (train, held) row indices of each fold of a seeded V-fold split.
+
+    The fold splitter that preceded ``thresholding._fold_plan``, kept as its
+    reference: one (train, held) pair per fold, in fold order, so at 2 folds
+    each row set comes twice.
+    """
+    check_cv_folds(len(order), folds)
+    perm = np.asarray(order)[_streams.substream(seed, _streams.FOLD).permutation(len(order))]
+    for part in np.array_split(perm, folds):
+        yield np.setdiff1d(perm, part), np.sort(part)
+
+
+def reference_cv_select(pairs, grid, rule):
+    """The scoring loop that preceded ``thresholding._cv_select``.
+
+    ``pairs`` yields one (fit, held) pair of raw matrices per fold; the grid
+    lambda with the least mean held-out Frobenius score wins.
+    """
+    scores = np.zeros(len(grid))
+    n_pairs = 0
+    for fit, held in pairs:
+        for g, lam in enumerate(grid):
+            diff = _shrink_offdiag(fit, lam, rule) - held
+            scores[g] += float(np.sum(diff * diff))
+        n_pairs += 1
+    scores /= n_pairs
+    return thresholding.LambdaSelection(
+        lam=float(grid[int(np.argmin(scores))]), grid=grid, cv_scores=scores, rule=rule
+    )
+
+
 def reference_cv_threshold(raw_full, raw_fn, order, rule, folds, grid_size, seed):
     """The baseline CV that kept its own fold rule: it lowered ``folds`` to n // 2.
 
@@ -414,7 +446,7 @@ def reference_cv_threshold(raw_full, raw_fn, order, rule, folds, grid_size, seed
     perm = np.asarray(order)[_streams.substream(seed, _streams.FOLD).permutation(n)]
     splits = ((np.setdiff1d(perm, part), np.sort(part)) for part in np.array_split(perm, folds))
     pairs = ((raw_fn(fit), raw_fn(held)) for fit, held in splits)
-    return _cv_select(pairs, grid, rule).apply(raw_full)
+    return reference_cv_select(pairs, grid, rule).apply(raw_full)
 
 
 def reference_forest_cv_pairs(dataset, config, seed, folds):
@@ -422,12 +454,12 @@ def reference_forest_cv_pairs(dataset, config, seed, folds):
 
     Kept as the reference for ``ForestCV``, which fits each distinct fold row
     set once: one ((forests, subset), (forests, subset)) pair per fold, in
-    fold order, the form ``ForestCV.select`` scores.
+    fold order, the form ``reference_cv_select`` scores.
     """
     cfg = config.resolve(dataset.n, dataset.d)
     n_cv_trees = max(thresholding.CV_MIN_TREES, cfg.n_trees // thresholding.CV_TREE_DIVISOR)
     pairs = []
-    for train_idx, fold in thresholding._fold_splits(np.arange(dataset.n), folds, seed):
+    for train_idx, fold in reference_fold_splits(np.arange(dataset.n), folds, seed):
         train_ds = dataset.subset(train_idx)
         hold_ds = dataset.subset(fold)
         train_cfg = thresholding._subset_config(cfg, len(train_idx), dataset.n, n_cv_trees)

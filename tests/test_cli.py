@@ -438,6 +438,21 @@ class TestBacktest:
         code, _ = self._run(tmp_path, extra=["--window", "50"][0:0], T=9)
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("method", ["static:soft", "mfdcm:soft"])
+    def test_one_out_of_sample_day_refused_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                           method):
+        # 12 rows at window 11 leave 1 day, and the summary needs 2 daily returns.
+        def started(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(forest, "grow_tree", started)
+        monkeypatch.setattr(portfolio, "static_baseline", started)
+        code, out = self._run(tmp_path, T=12, extra=["--method", method, "--window", "11",
+                                                     "--min-leaf", "1"])
+        assert code == EXIT_USAGE
+        assert "panel has 12 rows; window=11 needs at least 13" in capsys.readouterr().err
+        assert not out.with_suffix(".returns.csv").exists()
+
     def test_infeasible_min_leaf_refuses_only_the_forest_arm(self, tmp_path, capsys):
         # window 10 gives s=5 and |J2|=2, below the default min_leaf of 5.
         code, out = self._run(tmp_path, extra=["--method", "mfdcm:soft"])

@@ -117,6 +117,16 @@ class TestBacktest:
         np.testing.assert_allclose(result.weights_log, 1.0 / 3.0)
         np.testing.assert_allclose(result.daily_returns, panel.y[10:].mean(axis=1))
 
+    def test_identity_builds_no_window_dataset(self, monkeypatch):
+        panel = _model_panel(30, p=3)
+
+        def built(*args, **kwargs):
+            raise AssertionError("a window Dataset was built")
+
+        monkeypatch.setattr(Dataset, "subset", built)
+        result = backtest(panel, MethodSpec("identity"), window=10)
+        np.testing.assert_allclose(result.weights_log, 1.0 / 3.0)
+
     def test_constant_returns(self):
         # All assets return the same r each day, so any unit-sum weights give r.
         T, p = 20, 3
@@ -232,7 +242,8 @@ class TestBacktest:
         for args, message in [
             ((MethodSpec.parse("fdcm:soft"), 30, 2, 20, 1, cfg, 5), "supports only PD arms"),
             ((MethodSpec.parse("mkernel:3:soft"), 30, 2, 20, 1, cfg, 5), "covariate index"),
-            ((spec, 20, 2, 20, 1, cfg, 5), "panel has 20 rows; needs more than window=20"),
+            ((spec, 20, 2, 20, 1, cfg, 5), "panel has 20 rows; window=20 needs at least 22"),
+            ((spec, 21, 2, 20, 1, cfg, 5), "panel has 21 rows; window=20 needs at least 22"),
             ((spec, 30, 2, 1, 1, cfg, 5), "window must be >= 2"),
             ((spec, 30, 2, 20, 0, cfg, 5), "stride must be >= 1"),
             ((spec, 30, 2, 20, 1, cfg, 11), "n=20 too small for 11-fold CV"),

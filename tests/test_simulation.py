@@ -2,11 +2,14 @@ import math
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from dyncov import forest, simulation
+from dyncov import forest, simulation, thresholding
 from dyncov.data import Dataset
 from dyncov.forest import ForestConfig
 from dyncov.simulation import (
@@ -227,6 +230,46 @@ def test_baseline_ignores_row_order(arm, rule):
         return static_baseline(data, method.rule)
 
     np.testing.assert_allclose(estimate(ds), estimate(shuffled), rtol=1e-9, atol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(10, 59), p=st.integers(2, 7), d=st.integers(1, 3),
+       rule=st.sampled_from(["hard", "soft", "scad", "alasso"]), seed=st.integers(0, 2**32 - 1))
+def test_baselines_ignore_row_order_property(n, p, d, rule, seed):
+    # The folds are drawn over a content-based row order, so each fold holds
+    # the same rows under any reordering; but within a fold the rows come in
+    # dataset order, which sets the order of the sums, so the estimates agree
+    # to rounding, not bit for bit.  Rounding can flip a near-tie, so a draw
+    # is assumed away where the two best CV scores lie within 1e-9 relative,
+    # or a fold estimate's off-diagonal entry lies within 1e-9 relative of a
+    # grid lambda, where the hard rule jumps (a kernel fold estimate can
+    # equal the full one, whose largest entry is the grid's top).
+    gen = np.random.default_rng(seed)
+    ds = Dataset(gen.standard_normal((n, p)) * gen.uniform(0.5, 2.0, p), gen.uniform(-1, 1, (n, d)))
+    perm = gen.permutation(n)
+    shuffled = Dataset(ds.y[perm], ds.u[perm])
+    u, j = gen.uniform(-1, 1, d), int(gen.integers(1, d + 1))
+    rule = ThresholdRule(rule)
+    near, select = [], thresholding._cv_select
+
+    def recording(raw_at, folds, grid, *rest):
+        def checked(s):
+            raw = raw_at(s)
+            off = np.abs(raw[~np.eye(p, dtype=bool)])
+            near.append(np.isclose(off[:, None], grid[1:], rtol=1e-9, atol=0).any())
+            return raw
+
+        sel = select(checked, folds, grid, *rest)
+        best, second = np.sort(sel.cv_scores)[:2]
+        near.append(second - best <= 1e-9 * best)
+        return sel
+
+    with mock.patch.object(thresholding, "_cv_select", recording):
+        for estimate in (lambda data: static_baseline(data, rule, folds=3),
+                         lambda data: kernel_dcm_baseline(data, j, u, rule, folds=3)):
+            a, b = estimate(ds), estimate(shuffled)
+            assume(not any(near))
+            np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12)
 
 
 class TestKernelBaseline:

@@ -14,7 +14,6 @@ from dyncov.thresholding import (
     ForestCV,
     LambdaSelection,
     ThresholdRule,
-    _cv_select,
     check_cv_folds,
     cv_threshold,
     default_cn,
@@ -23,7 +22,12 @@ from dyncov.thresholding import (
     precision,
     shrink,
 )
-from tests.conftest import reference_cv_threshold, reference_forest_cv_pairs, same_forest
+from tests.conftest import (
+    reference_cv_select,
+    reference_cv_threshold,
+    reference_forest_cv_pairs,
+    same_forest,
+)
 
 RULES = [
     ThresholdRule("hard"),
@@ -288,9 +292,10 @@ class TestForestCVFits:
             cv = ForestCV(ds, cfg, 7, folds=folds)
         assert fits.call_count == (2 if folds == 2 else 2 * folds)
         ref = reference_forest_cv_pairs(ds, cfg, 7, folds)
-        assert len(cv._pairs) == len(ref) == folds
-        for got_pair, want_pair in zip(cv._pairs, ref):
-            for (got_forests, got_ds), (want_forests, want_ds) in zip(got_pair, want_pair):
+        assert len(cv._folds) == len(ref) == folds
+        for fold, want_pair in zip(cv._folds, ref):
+            for s, (want_forests, want_ds) in zip(fold, want_pair):
+                *got_forests, got_ds = cv._fits[s]
                 assert got_ds.fingerprint() == want_ds.fingerprint()
                 assert all(map(same_forest, got_forests, want_forests))
         forests = train_cov_forests(ds, cfg.resolve(ds.n, ds.d), 7)
@@ -301,10 +306,22 @@ class TestForestCVFits:
                 got = cv.select(u, rule, raw)
                 pairs = ((raw_cov(*fit, fit_ds, u), raw_cov(*held, held_ds, u))
                          for (fit, fit_ds), (held, held_ds) in ref)
-                want = _cv_select(pairs, lambda_grid(raw), rule)
+                want = reference_cv_select(pairs, lambda_grid(raw), rule)
                 assert got.lam == want.lam
                 assert got.grid.tobytes() == want.grid.tobytes()
                 assert got.cv_scores.tobytes() == want.cv_scores.tobytes()
+
+    @pytest.mark.parametrize("folds,calls", [(2, 2), (3, 6)])
+    def test_each_fold_fit_scored_once_per_point(self, folds, calls):
+        # At 2 folds the folds swap roles, so each fold fit's raw estimate
+        # is computed once per point and serves as fit in one fold and as
+        # held-out target in the other; at V >= 3 all 2V fits differ.
+        ds = sample_dataset(ModelSpec(model=1, p=4, d=2, n=40), np.random.default_rng(3))
+        cv = ForestCV(ds, ForestConfig(n_trees=20, min_leaf=3), 7, folds=folds)
+        raw = np.eye(4) + 0.1
+        with mock.patch.object(thresholding, "raw_cov", wraps=thresholding.raw_cov) as spy:
+            cv.select(np.zeros(2), ThresholdRule("soft"), raw)
+        assert spy.call_count == calls
 
 
 def _sample_cov(y):
@@ -336,6 +353,14 @@ class TestCvThreshold:
         else:
             with pytest.raises(ValueError, match="too small for|need at least 2 folds"):
                 cv_threshold(*args)
+
+    @pytest.mark.parametrize("folds,calls", [(2, 2), (3, 6)])
+    def test_raw_fn_runs_once_per_row_set(self, folds, calls):
+        # At 2 folds each fold's training rows are the other's held-out rows.
+        y = np.random.default_rng(0).standard_normal((20, 3))
+        raw_fn = mock.Mock(side_effect=lambda idx: _sample_cov(y[idx]))
+        cv_threshold(_sample_cov(y), raw_fn, np.arange(20), ThresholdRule("soft"), folds, 20, 0)
+        assert raw_fn.call_count == calls
 
 
 # Entries 0 or of magnitude 1e-100 to 1e101, either sign: a diagonal can be
