@@ -7,7 +7,10 @@ subcommand and method refuses them before any data is loaded.
 Precedence is CLI > config file > defaults; a bad config line is a usage
 error naming ``FILE:LINE``.  Every artifact embeds the effective settings,
 and all randomness flows from the single --seed through named substreams, so
-reruns are byte-identical.  Training is serial: --workers has no effect.
+reruns are byte-identical.  At --workers >= 2 each fit grows its mean forest
+here and its second-moment forest in one forked worker process (at most one,
+as a fit has two forests); every tree keeps its own stream, so the artifacts
+are the same at any worker count.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple
 
-from .covariance import raw_cov, train_cov_forests, write_matrix_csv
+from .covariance import InProcess, raw_cov, train_cov_forests, write_matrix_csv
 from .data import CsvFormatError, CsvLayout, load_query_csv, load_returns_csv
 from .forest import ForestConfig
 from .portfolio import backtest, check_backtest, check_backtest_method
@@ -62,7 +65,7 @@ class Setting(NamedTuple):
 
 _COMMON = (
     Setting("seed", int, 0, minimum=0),
-    Setting("workers", int, 1, "has no effect: training is serial", minimum=1),
+    Setting("workers", int, 1, "2 or more grows each fit's two forests at once, in one forked process", minimum=1),
     Setting("trees", int, 500, forest_field="n_trees"),
     Setting("subsample", int, 0, "0 means ceil(n/2)", minimum=0),
     Setting("min-leaf", int, 5, forest_field="min_leaf"),
@@ -166,8 +169,8 @@ def _merge_config(args: argparse.Namespace, settings: tuple[Setting, ...]) -> di
 
 
 def _config_lines(cfg: dict) -> list[str]:
-    # workers has no effect, so it stays out of the embedded config: runs at
-    # any worker count are byte-identical.
+    # workers stays out of the embedded config: runs at any worker count
+    # are byte-identical.
     return [f"{k}={cfg[k]}" for k in sorted(cfg) if k != "workers"]
 
 
@@ -192,7 +195,7 @@ def _layout_from(cfg: dict) -> CsvLayout:
         )
 
 
-def cmd_simulate(cfg: dict) -> int:
+def cmd_simulate(cfg: dict, worker) -> int:
     with _usage_errors():
         model = ModelSpec(model=cfg["model"], p=cfg["p"], d=cfg["d"], n=cfg["n"])
         exp = ExperimentConfig(
@@ -206,7 +209,7 @@ def cmd_simulate(cfg: dict) -> int:
             lambda_mode=cfg["lambda-mode"],
         )
 
-    report = run_experiment(exp)
+    report = run_experiment(exp, worker)
     out = Path(cfg["out"])
     csv_path = out.with_suffix(".csv")
     table_path = out.with_suffix(".txt")
@@ -217,7 +220,7 @@ def cmd_simulate(cfg: dict) -> int:
     return EXIT_OK
 
 
-def cmd_estimate(cfg: dict) -> int:
+def cmd_estimate(cfg: dict, worker) -> int:
     for path_key in ("train", "query"):
         if not Path(cfg[path_key]).is_file():
             raise UsageError(f"--{path_key} file not found: {cfg[path_key]}")
@@ -236,10 +239,11 @@ def cmd_estimate(cfg: dict) -> int:
         if cfg["stage"] != "raw":
             check_cv_folds(dataset.n, cfg["folds"])
         forest_cfg = _forest_config(cfg).resolve_main(dataset.n, dataset.d)
-    forests = train_cov_forests(dataset, forest_cfg, cfg["seed"])
+    forests = train_cov_forests(dataset, forest_cfg, cfg["seed"], worker)
     cv = None
     if cfg["stage"] != "raw":
-        cv = ForestCV(dataset, forest_cfg, cfg["seed"], folds=cfg["folds"], grid_size=cfg["grid-size"])
+        cv = ForestCV(dataset, forest_cfg, cfg["seed"], folds=cfg["folds"], grid_size=cfg["grid-size"],
+                      worker=worker)
 
     out_dir = Path(cfg["out-dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -265,7 +269,7 @@ def cmd_estimate(cfg: dict) -> int:
     return EXIT_OK
 
 
-def cmd_backtest(cfg: dict) -> int:
+def cmd_backtest(cfg: dict, worker) -> int:
     if not Path(cfg["panel"]).is_file():
         raise UsageError(f"--panel file not found: {cfg['panel']}")
     layout = _layout_from(cfg)
@@ -286,6 +290,7 @@ def cmd_backtest(cfg: dict) -> int:
         grid_size=cfg["grid-size"],
         stride=cfg["stride"],
         seed=cfg["seed"],
+        worker=worker,
     )
 
     out = Path(cfg["out"])
@@ -331,11 +336,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextmanager
+def _training_worker(workers: int):
+    """What each fit hands its second-moment forest to: the calling process
+    at 1 worker, else one forked process, reaped when the block ends."""
+    if workers < 2:
+        yield InProcess()
+        return
+    import os  # not at module level, so a run at 1 worker imports nothing new
+
+    from ._worker import ForkWorker
+
+    if not hasattr(os, "fork"):
+        raise UsageError(f"--workers {workers} needs os.fork, which this platform lacks; use --workers 1")
+    with ForkWorker() as worker:
+        yield worker
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     _, command, settings = _COMMANDS[args.command]
     try:
-        return command(_merge_config(args, settings))
+        cfg = _merge_config(args, settings)
+        with _training_worker(cfg["workers"]) as worker:
+            return command(cfg, worker)
     except (UsageError, CsvFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -52,12 +52,33 @@ def raw_cov(
     return second - np.outer(mean, mean)
 
 
-def train_cov_forests(dataset: Dataset, config: ForestConfig, seed: int) -> tuple[Forest, Forest]:
-    """Train the mean and the second-moment forest for raw_cov, mean first, from ``seed``."""
-    return (
-        train_forest(dataset, config, ResponseKind.MEAN, seed),
-        train_forest(dataset, config, ResponseKind.SECOND_MOMENT, seed),
-    )
+class InProcess:
+    """Runs a submitted call in the calling process, when its result is asked
+    for: the default worker of ``train_cov_forests``, with the submit/result
+    calls of the forked one (``dyncov._worker.ForkWorker``)."""
+
+    def submit(self, fn, *args) -> None:
+        self._call = fn, args
+
+    def result(self):
+        fn, args = self._call
+        return fn(*args)
+
+
+def train_cov_forests(
+    dataset: Dataset, config: ForestConfig, seed: int, worker=None
+) -> tuple[Forest, Forest]:
+    """Train the mean and the second-moment forest for raw_cov from ``seed``.
+
+    The second-moment forest goes to ``worker`` and the mean forest grows
+    here meanwhile; the default worker grows it here afterwards.  Each tree
+    draws from its own stream, so the forests do not depend on where they
+    grow.
+    """
+    worker = InProcess() if worker is None else worker
+    worker.submit(train_forest, dataset, config, ResponseKind.SECOND_MOMENT, seed)
+    mean = train_forest(dataset, config, ResponseKind.MEAN, seed)
+    return mean, worker.result()
 
 
 def write_matrix_csv(path, matrix: np.ndarray, header_lines: list[str] | None = None) -> None:

@@ -115,6 +115,7 @@ def backtest(
     grid_size: int = 20,
     stride: int = 1,
     seed: int = 0,
+    worker=None,
 ) -> BacktestResult:
     """Daily-rebalanced minimum-variance backtest over a rolling window.
 
@@ -123,9 +124,10 @@ def backtest(
     rows [i - window, i) only.  With ``stride`` m > 1 forests are retrained
     every m days and re-queried at the new factor vector in between.
     ``forest_config`` shapes the forests, and ``seed`` drives every random
-    stream of the run, the forests' and the CV folds'.  Settings that
-    ``check_backtest`` refuses raise before day 1, and a failed PD correction
-    names its day as the returns file labels it.
+    stream of the run, the forests' and the CV folds'.  ``worker`` grows
+    each fit's second-moment forest (see ``train_cov_forests``).  Settings
+    that ``check_backtest`` refuses raise before day 1, and a failed PD
+    correction names its day as the returns file labels it.
     """
     check_backtest(spec, panel.n, panel.d, window, stride, forest_config, folds)
     T, p = panel.n, panel.p
@@ -148,8 +150,9 @@ def backtest(
             if spec.forest:
                 if step % stride == 0:
                     fit = panel.subset(rows)
-                    forests = train_cov_forests(fit, forest_config, seed)
-                    cv = ForestCV(fit, forest_config, seed, folds=folds, grid_size=grid_size)
+                    forests = train_cov_forests(fit, forest_config, seed, worker)
+                    cv = ForestCV(fit, forest_config, seed, folds=folds, grid_size=grid_size,
+                                  worker=worker)
                 raw = raw_cov(*forests, fit, u)
                 mat = cv.select(u, spec.rule, raw).apply(raw)
             elif spec.name == "static":

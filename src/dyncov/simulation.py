@@ -391,13 +391,14 @@ class ExperimentReport:
         return "\n".join(lines)
 
 
-def _run_rep(config: ExperimentConfig, points: np.ndarray, rep: int) -> np.ndarray:
+def _run_rep(config: ExperimentConfig, points: np.ndarray, rep: int, worker=None) -> np.ndarray:
     """One replication: a fresh dataset, every method scored one test point at a time.
 
     Returns the (methods, points, 4) array of Frobenius loss, spectral loss,
     TPR and FPR.  Only the forests, the ``ForestCV`` state and one matrix per
     static arm outlive a point, so the p x p memory held does not grow with
-    the number of points or arms.
+    the number of points or arms.  ``worker`` grows each fit's second-moment
+    forest (see ``train_cov_forests``).
     """
     rng = _streams.substream(config.seed, _streams.REP, rep)
     dataset = sample_dataset(config.model, rng)
@@ -406,8 +407,8 @@ def _run_rep(config: ExperimentConfig, points: np.ndarray, rep: int) -> np.ndarr
     forest_rules = sorted({m.rule for m in config.methods if m.forest}, key=str)
     shared = {}
     if forest_rules:
-        forests = train_cov_forests(dataset, config.forest, config.seed)
-        cv = ForestCV(dataset, config.forest, **cv_args)
+        forests = train_cov_forests(dataset, config.forest, config.seed, worker)
+        cv = ForestCV(dataset, config.forest, **cv_args, worker=worker)
         if config.lambda_mode == "shared":
             centroid = dataset.u.mean(axis=0)
             raw = raw_cov(*forests, dataset, centroid)
@@ -437,15 +438,17 @@ def _run_rep(config: ExperimentConfig, points: np.ndarray, rep: int) -> np.ndarr
     return scores
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentReport:
+def run_experiment(config: ExperimentConfig, worker=None) -> ExperimentReport:
     """Run the replicated benchmark; fully reproducible from the seed.
 
     Replications run one after another, and each scores its test points one
     at a time (``_run_rep``), so peak memory is O(p^2) per replication.
+    ``worker`` grows each fit's second-moment forest (see
+    ``train_cov_forests``).
     """
     start = time.perf_counter()
     points = test_points(config.model.d)
-    scores = np.stack([_run_rep(config, points, r) for r in range(config.reps)])
+    scores = np.stack([_run_rep(config, points, r, worker) for r in range(config.reps)])
     medians = np.median(scores, axis=2)  # (reps, methods, 4)
 
     sparsity_models = config.model.model in (3, 4)

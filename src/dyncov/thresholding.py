@@ -223,7 +223,8 @@ class ForestCV:
     (``_fold_plan``); a pair depends only on its rows, as the config scales
     with their count and the seed is the run's.  At 2 folds the folds swap
     roles, so 2 pairs are trained and ``select`` computes 2 raw estimates
-    per point; at V >= 3 it is 2V of each.
+    per point; at V >= 3 it is 2V of each.  ``worker`` grows each pair's
+    second-moment forest (see ``train_cov_forests``).
     """
 
     def __init__(
@@ -233,6 +234,7 @@ class ForestCV:
         seed: int,
         folds: int = 5,
         grid_size: int = 20,
+        worker=None,
     ):
         cfg = config.resolve(dataset.n, dataset.d)
         n_cv_trees = max(CV_MIN_TREES, cfg.n_trees // CV_TREE_DIVISOR)
@@ -242,7 +244,7 @@ class ForestCV:
         for rows in sets:
             sub = dataset.subset(rows)
             sub_cfg = _subset_config(cfg, len(rows), dataset.n, n_cv_trees)
-            self._fits.append((*train_cov_forests(sub, sub_cfg, seed), sub))
+            self._fits.append((*train_cov_forests(sub, sub_cfg, seed, worker), sub))
 
     def select(self, u: np.ndarray, rule: ThresholdRule, raw: np.ndarray) -> LambdaSelection:
         """Cross-validated penalty at u; the raw estimate at u fixes the grid's upper end."""

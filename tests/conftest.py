@@ -470,11 +470,11 @@ def reference_forest_cv_pairs(dataset, config, seed, folds):
     return pairs
 
 
-def _reference_forest_estimates(dataset, config, points, rules):
+def _reference_forest_estimates(dataset, config, points, rules, worker):
     """Thresholded forest estimates at every query point, one list per rule."""
-    forests = simulation.train_cov_forests(dataset, config.forest, config.seed)
+    forests = simulation.train_cov_forests(dataset, config.forest, config.seed, worker)
     cv = simulation.ForestCV(dataset, config.forest, config.seed, folds=config.folds,
-                             grid_size=config.grid_size)
+                             grid_size=config.grid_size, worker=worker)
     raws = [simulation.raw_cov(*forests, dataset, u) for u in points]
     out = {}
     for rule in rules:
@@ -487,7 +487,7 @@ def _reference_forest_estimates(dataset, config, points, rules):
     return out
 
 
-def reference_run_rep(config, points, rep):
+def reference_run_rep(config, points, rep, worker=None):
     """The replication runner that built every arm's estimate at every point before scoring.
 
     Kept as the reference for ``simulation._run_rep``, which scores one point
@@ -500,7 +500,7 @@ def reference_run_rep(config, points, rep):
 
     forest_rules = sorted({m.rule for m in config.methods if m.forest}, key=str)
     forest_ests = (
-        _reference_forest_estimates(dataset, config, points, forest_rules) if forest_rules else {}
+        _reference_forest_estimates(dataset, config, points, forest_rules, worker) if forest_rules else {}
     )
 
     per_method = []

@@ -1,5 +1,7 @@
+import os
 import re
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -794,3 +796,130 @@ class TestWorkerDeterminism:
                            if not (l.startswith("# out=") or l.startswith("# workers="))]
         assert strip(a) == strip(b)
 
+    @pytest.mark.parametrize("folds", ["2", "3"])
+    def test_estimate_workers_match(self, tmp_path, folds):
+        # Same output paths at both worker counts, so every byte must agree.
+        train = tmp_path / "train.csv"
+        _write_panel(train, T=30, p=3, d=2, seed=4)
+        query = tmp_path / "query.csv"
+        query.write_text("u1,u2\n0.0,0.0\n0.5,-0.5\n-0.7,0.2\n")
+        out = tmp_path / "est"
+        argv = ["estimate", "--train", str(train), "--query", str(query),
+                "--response-cols", "y1,y2,y3", "--covariate-cols", "u1,u2",
+                "--stage", "corrected", "--trees", "6", "--min-leaf", "2",
+                "--folds", folds, "--seed", "5", "--out-dir", str(out)]
+        snapshots = []
+        for workers in ("1", "2"):
+            assert main(argv + ["--workers", workers]) == EXIT_OK
+            files = sorted(out.iterdir())
+            assert [f.name for f in files] == ["manifest.csv"] + [f"sigma_00{q}.csv" for q in range(3)]
+            snapshots.append({f.name: f.read_bytes() for f in files})
+            for f in files:
+                f.unlink()
+        assert snapshots[0] == snapshots[1]
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _before_each_tree(monkeypatch, actions):
+    """Patch grow_tree to call ``actions[kind]`` before each tree of response kind ``kind``."""
+    grow = forest.grow_tree
+
+    def patched(dataset, j1, j2, response_kind, config, rng):
+        actions.get(response_kind, lambda: None)()
+        return grow(dataset, j1, j2, response_kind, config, rng)
+
+    monkeypatch.setattr(forest, "grow_tree", patched)
+
+
+class TestWorkerProcess:
+    """At --workers >= 2 one forked process grows each fit's second-moment forest."""
+
+    @staticmethod
+    def _estimate(tmp_path):
+        train = tmp_path / "train.csv"
+        _write_panel(train, T=24, p=2, d=2, seed=6)
+        query = tmp_path / "query.csv"
+        query.write_text("u1,u2\n0.0,0.0\n")
+        return ["estimate", "--train", str(train), "--query", str(query),
+                "--response-cols", "y1,y2", "--covariate-cols", "u1,u2", "--trees", "4",
+                "--min-leaf", "2", "--folds", "2", "--out-dir", str(tmp_path / "est")]
+
+    def test_worker_failure_reads_as_at_one_worker(self, tmp_path, capsys, monkeypatch):
+        # Patched before the command runs, so the forked worker inherits it.
+        def fail():
+            raise np.linalg.LinAlgError("second-moment growth failed")
+
+        _before_each_tree(monkeypatch, {forest.ResponseKind.SECOND_MOMENT: fail})
+        argv = self._estimate(tmp_path)
+        outcomes = []
+        for workers in ("1", "2"):
+            code = main(argv + ["--workers", workers])
+            outcomes.append((code, capsys.readouterr().err))
+            _no_child_left()
+        assert outcomes[0] == outcomes[1] == (
+            EXIT_RUNTIME, "runtime error: second-moment growth failed\n")
+
+    def test_parent_failure_kills_the_busy_worker(self, tmp_path, capsys, monkeypatch):
+        def fail():
+            raise ValueError("mean growth failed")
+
+        _before_each_tree(monkeypatch, {forest.ResponseKind.SECOND_MOMENT: lambda: time.sleep(10),
+                                        forest.ResponseKind.MEAN: fail})
+        start = time.monotonic()
+        assert main(self._estimate(tmp_path) + ["--workers", "2"]) == EXIT_RUNTIME
+        # The worker sleeps 10 s before its first tree: it was killed, not awaited.
+        assert time.monotonic() - start < 5
+        assert _one_runtime_error(capsys) == "runtime error: mean growth failed"
+        _no_child_left()
+
+    def test_second_moment_forests_grow_in_the_worker(self, tmp_path, monkeypatch):
+        parent = os.getpid()
+
+        def in_parent(expected):
+            def check():
+                if (os.getpid() == parent) != expected:
+                    raise AssertionError(f"tree grown in process {os.getpid()}, parent {parent}")
+            return check
+
+        _before_each_tree(monkeypatch, {forest.ResponseKind.MEAN: in_parent(True),
+                                        forest.ResponseKind.SECOND_MOMENT: in_parent(False)})
+        assert main(self._estimate(tmp_path) + ["--workers", "2"]) == EXIT_OK
+        _no_child_left()
+
+    def test_usage_error_after_the_fork_reaps_the_worker(self, tmp_path, capsys):
+        argv = self._estimate(tmp_path)
+        argv[argv.index("--query") + 1] = str(tmp_path / "missing.csv")
+        assert main(argv + ["--workers", "2"]) == EXIT_USAGE
+        assert "--query file not found" in capsys.readouterr().err
+        _no_child_left()
+
+    def test_many_workers_fork_once(self, tmp_path, monkeypatch):
+        forks = []
+        real_fork = os.fork
+
+        def counting_fork():
+            forks.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        panel = tmp_path / "panel.csv"
+        _write_panel(panel, T=26, p=2, d=2, seed=5)
+        code = main([
+            "backtest", "--panel", str(panel), "--response-cols", "y1,y2",
+            "--covariate-cols", "u1,u2", "--method", "mfdcm:soft", "--window", "20",
+            "--stride", "3", "--trees", "4", "--folds", "2", "--min-leaf", "2",
+            "--workers", "10000", "--out", str(tmp_path / "bt"),
+        ])
+        assert code == EXIT_OK
+        assert len(forks) == 1  # 2 retrains of 3 fits each, one process
+        _no_child_left()
+
+    def test_no_fork_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        assert main(self._estimate(tmp_path) + ["--workers", "2"]) == EXIT_USAGE
+        assert "--workers 2 needs os.fork" in capsys.readouterr().err
+        assert not (tmp_path / "est").exists()

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -12,7 +12,7 @@ from dyncov.covariance import (
     write_matrix_csv,
 )
 from dyncov.data import Dataset
-from dyncov.forest import ForestConfig, ResponseKind, train_forest
+from dyncov.forest import ForestConfig, ResponseKind, train_forest, weight_vector
 from tests.conftest import (
     j2_indices,
     make_dataset,
@@ -143,8 +143,9 @@ class TestRawCov:
 
     def test_monotone_covariate_transform_at_training_points(self):
         # Strictly increasing per-coordinate maps preserve covariate ranks, so
-        # with fixed seeds the trees route training points identically and the
-        # raw estimate at any training covariate vector is unchanged.
+        # with fixed seeds the trees make the same splits.  Rows 0, 7 and 23
+        # route identically; row 28 does not, as it lies outside some trees'
+        # subsamples (see the property below, which takes every row).
         ds = make_dataset(n=40, p=3, d=2, seed=13)
         cfg = ForestConfig(n_trees=10, min_leaf=3)
         forests = train_cov_forests(ds, cfg, 3)
@@ -155,6 +156,68 @@ class TestRawCov:
             a = raw_cov(*forests, ds, ds.u[i])
             b = raw_cov(*forests2, ds2, ds2.u[i])
             np.testing.assert_array_equal(a, b)
+
+    # Strictly increasing maps of [-1, 1], each with a free parameter c > 0.
+    MAPS = {
+        "affine": lambda x, c: c * x - 3.0,
+        "cube": lambda x, c: x**3 + c * x,
+        "exp": lambda x, c: np.exp(c * x),
+        "arctan": lambda x, c: np.arctan(c * x),
+        "sinh": lambda x, c: np.sinh(c * x),
+    }
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(8, 30),
+        d=st.integers(1, 3),
+        p=st.integers(1, 3),
+        map_name=st.sampled_from(sorted(MAPS)),
+        c=st.floats(0.1, 5.0),
+        trees=st.integers(1, 6),
+        min_leaf=st.integers(1, 3),
+        random_split_prob=st.sampled_from([0.05, 0.5, 1.0]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_monotone_covariate_map_keeps_training_weights_property(
+        self, data, n, d, p, map_name, c, trees, min_leaf, random_split_prob, seed
+    ):
+        # Splits read covariates only through their order (sorts, and counts
+        # against midpoints of adjacent distinct values), and the map keeps
+        # that order, so with the same seed both forests make the same splits
+        # and route every training row to the same leaves.  Assumptions:
+        # - every tree's subsample is all n rows (subsample_size = n).  A row
+        #   outside a tree's subsample can lie strictly between two adjacent
+        #   values of a node, where the map can move the midpoint across it:
+        #   at the default s = ceil(n/2) that happens at row 28 of the fixed
+        #   example above, which checks rows 0, 7 and 23;
+        # - the map, rounded to doubles, is strictly increasing on the sample;
+        # - in neither sample does the midpoint of two adjacent values round
+        #   onto one of them.  Such a midpoint changes the counts ``_scan``
+        #   takes against it.
+        # Draws from a few values make ties likely; ties map to ties.
+        values = st.one_of(st.floats(-1.0, 1.0), st.sampled_from([-1.0, -0.5, 0.0, 0.25, 1.0]))
+        u = data.draw(hnp.arrays(np.float64, (n, d), elements=values))
+        j = data.draw(st.integers(0, d - 1))
+        x, where = np.unique(u[:, j], return_inverse=True)
+        fx = self.MAPS[map_name](x, c)
+        assume(np.all(fx[:-1] < fx[1:]))
+        mapped = u.copy()
+        mapped[:, j] = fx[where]
+        for sample in (x, fx):
+            mid = (sample[:-1] + sample[1:]) / 2.0
+            assume(np.all((sample[:-1] < mid) & (mid < sample[1:])))
+
+        y = np.random.default_rng(seed).standard_normal((n, p))
+        cfg = ForestConfig(n_trees=trees, subsample_size=n, min_leaf=min_leaf,
+                           random_split_prob=random_split_prob)
+        ds, ds2 = Dataset(y, u), Dataset(y, mapped)
+        pairs = zip(train_cov_forests(ds, cfg, seed), train_cov_forests(ds2, cfg, seed))
+        for forest, forest2 in pairs:
+            for i in range(n):
+                a, b = weight_vector(forest, ds.u[i]), weight_vector(forest2, ds2.u[i])
+                np.testing.assert_array_equal(a.indices, b.indices)
+                np.testing.assert_array_equal(a.values, b.values)
 
 
 class TestMatrixCsv:
