@@ -22,20 +22,19 @@ def _check_forest(forest: Forest, dataset: Dataset, kind: ResponseKind) -> None:
         raise ValueError("forest was trained on a different dataset")
 
 
-def cond_mean(mean_forest: Forest, dataset: Dataset, u: np.ndarray) -> np.ndarray:
-    """Weighted conditional mean of the responses at u."""
-    _check_forest(mean_forest, dataset, ResponseKind.MEAN)
-    w = weight_vector(mean_forest, u)
-    return dataset.y[w.indices].T @ w.values
+def weighted_cov(
+    y_mean: np.ndarray, w_mean: np.ndarray, y_sm: np.ndarray, w_sm: np.ndarray
+) -> np.ndarray:
+    """sum_i b_i y_i y_i^T - mu mu^T, mu = sum_i a_i y_i: the raw estimate
+    from the rows ``y_mean`` weighted by ``w_mean`` (a) and the rows ``y_sm``
+    weighted by ``w_sm`` (b).
 
-
-def cond_second_moment(sm_forest: Forest, dataset: Dataset, u: np.ndarray) -> np.ndarray:
-    """Weighted conditional second moment sum_i w_i y_i y_i^T at u."""
-    _check_forest(sm_forest, dataset, ResponseKind.SECOND_MOMENT)
-    w = weight_vector(sm_forest, u)
-    ys = dataset.y[w.indices]
-    m = ys.T @ (ys * w.values[:, None])
-    return (m + m.T) / 2.0
+    The forest passes each forest's nonzero weights and their rows; the
+    kernel baseline passes one Nadaraya-Watson weighting of all rows twice.
+    """
+    mean = y_mean.T @ w_mean
+    m = y_sm.T @ (y_sm * w_sm[:, None])
+    return (m + m.T) / 2.0 - np.outer(mean, mean)
 
 
 def raw_cov(
@@ -44,12 +43,12 @@ def raw_cov(
     dataset: Dataset,
     u: np.ndarray,
 ) -> np.ndarray:
-    """Raw dynamic covariance estimate: second moment minus mean outer product."""
-    if mean_forest.dataset_fingerprint != sm_forest.dataset_fingerprint:
-        raise ValueError("forests were trained on different datasets")
-    mean = cond_mean(mean_forest, dataset, u)
-    second = cond_second_moment(sm_forest, dataset, u)
-    return second - np.outer(mean, mean)
+    """Raw dynamic covariance estimate at u from the two forests' weightings
+    (``weighted_cov``)."""
+    _check_forest(mean_forest, dataset, ResponseKind.MEAN)
+    _check_forest(sm_forest, dataset, ResponseKind.SECOND_MOMENT)
+    wm, ws = weight_vector(mean_forest, u), weight_vector(sm_forest, u)
+    return weighted_cov(dataset.y[wm.indices], wm.values, dataset.y[ws.indices], ws.values)
 
 
 class InProcess:

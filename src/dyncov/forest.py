@@ -236,8 +236,9 @@ WINDOW = 64  # Gram block rows that _scan reduces at a time
 def _workspace(size: int) -> np.ndarray:
     """One flat buffer of (2w + 1) * size floats, w = min(WINDOW, size), for
     ``_scan``'s Gram windows: w gathered rows of the tree's Gram matrix, and
-    w + 1 rows of a candidate's block, the first of them the carry row of
-    the exact scan (the masked pass uses w rows, cut at the window's end).
+    w + 1 rows of a candidate's block, the first of them the exact scan's
+    carry row, which a node of one window leaves unused (the masked pass
+    uses w rows, cut at the window's end).
 
     A tree makes one and all its nodes reuse it: under glibc's malloc,
     freeing it lets the next tree's come from the heap and reuse its pages
@@ -361,31 +362,17 @@ def _exact_prefixes(gram, sorted_rows, scanned, workspace):
     (k, k), from its column prefix sums and then their row prefix sums;
     P[f] the prefix sums and T[f] the sum of B's row sums.  Rows a:b of the
     block are gathered into g, a C-contiguous array of whole rows, since the
-    row sums' pairwise order follows the memory layout.  A block of one
-    window is reduced in place.  Otherwise the column prefix sums continue
-    from the carry, the last column-prefix row of the previous window, kept
-    in the row above g (the first window has none, so its first row is taken
-    as is); the row prefix sums stop at column b, since only the diagonal is
-    read.
+    row sums' pairwise order follows the memory layout.  The column prefix
+    sums continue from the carry, the last column-prefix row of the previous
+    window, kept in the row above g (the first window has none, so its first
+    row is taken as is, and a block of one window is reduced in place); the
+    row prefix sums stop at column b, since only the diagonal is read.
     """
     F, m1 = sorted_rows.shape
     double_prefix = np.zeros((F, m1))
     row_sums = np.zeros((F, m1))
     size = len(gram)
     w = min(WINDOW, size)
-    if m1 <= w:
-        taken = workspace[: m1 * size].reshape(m1, size)
-        g = workspace[w * size : w * size + m1 * m1].reshape(m1, m1)
-        for f in scanned:
-            r = sorted_rows[f]
-            # mode="clip" lets take write into out unbuffered; every index is in range.
-            gram.take(r, axis=0, out=taken, mode="clip")
-            taken.take(r, axis=1, out=g, mode="clip")
-            row_sums[f] = g.sum(axis=1)
-            g.cumsum(axis=0, out=g)
-            g.cumsum(axis=1, out=g)
-            double_prefix[f] = g.diagonal()
-        return double_prefix, row_sums.cumsum(axis=1), row_sums.sum(axis=1)
     windows = []
     for a in range(0, m1, w):
         b = min(a + w, m1)
@@ -396,6 +383,7 @@ def _exact_prefixes(gram, sorted_rows, scanned, workspace):
     for f in scanned:
         r = sorted_rows[f]
         for a, b, taken, block, g, columns, lower in windows:
+            # mode="clip" lets take write into out unbuffered; every index is in range.
             gram.take(r[a:b], axis=0, out=taken, mode="clip")
             taken.take(r, axis=1, out=g, mode="clip")
             row_sums[f, a:b] = g.sum(axis=1)

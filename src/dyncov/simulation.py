@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _streams
-from .covariance import raw_cov, train_cov_forests
+from .covariance import raw_cov, train_cov_forests, weighted_cov
 from .data import Dataset
 from .forest import ForestConfig, check_query_point
 from .thresholding import ForestCV, ThresholdRule, check_cv_folds, cv_threshold, pd_correct
@@ -210,9 +210,7 @@ def _kernel_raw(y: np.ndarray, uj: np.ndarray, u_target: float, h: float, retrie
         total = w.sum()
         if total > 0:
             w = w / total
-            mean = y.T @ w
-            second = y.T @ (y * w[:, None])
-            return (second + second.T) / 2.0 - np.outer(mean, mean)
+            return weighted_cov(y, w, y, w)
         h *= 2.0  # widen-bandwidth retry
     raise ValueError("all kernel weights zero even after widening the bandwidth")
 

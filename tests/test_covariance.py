@@ -5,14 +5,14 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from dyncov.covariance import (
-    cond_mean,
-    cond_second_moment,
     raw_cov,
     train_cov_forests,
+    weighted_cov,
     write_matrix_csv,
 )
 from dyncov.data import Dataset
 from dyncov.forest import ForestConfig, ResponseKind, train_forest, weight_vector
+from dyncov.simulation import _epanechnikov, _kernel_raw
 from tests.conftest import (
     j2_indices,
     make_dataset,
@@ -25,67 +25,121 @@ from tests.conftest import (
 UNIFORM_CFG = ForestConfig(n_trees=1, subsample_size=4, min_leaf=2, mtry=1)
 
 
-def _uniform_leaf_setup():
-    """Dataset and config where a single tree is forced into one leaf."""
-    y = np.array([[1.0, 0.0], [3.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
-    u = np.full((4, 1), 0.5)  # identical covariates: unsplittable
-    return Dataset(y, u)
+def _second_moment(forest, ds, u):
+    """The weighted second moment sum_i w_i y_i y_i^T of ``forest``'s
+    weighting at u: ``weighted_cov`` with an empty mean weighting."""
+    w = weight_vector(forest, u)
+    ys = ds.y[w.indices]
+    return weighted_cov(ys[:0], w.values[:0], ys, w.values)
 
 
-class TestCondMean:
-    def test_uniform_leaf_average(self):
-        ds = _uniform_leaf_setup()
-        forest = train_forest(ds, UNIFORM_CFG, ResponseKind.MEAN, 0)
-        # One leaf with two J2 members: plain average of their responses.
-        j2 = j2_indices(tree_view(forest, 0))
-        expected = ds.y[j2].mean(axis=0)
-        np.testing.assert_allclose(cond_mean(forest, ds, np.array([0.5])), expected)
+class TestForestMoments:
+    @pytest.mark.parametrize("y", [
+        [[1.0, 0.0], [3.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+        [[1.0], [-1.0], [1.0], [-1.0]],
+    ], ids=["two-columns", "plus-minus-one"])
+    def test_uniform_leaf_averages(self, y):
+        # Identical covariates: each forest's one tree is a single leaf, so
+        # both moments are plain averages over its J2 members.
+        ds = Dataset(np.array(y), np.full((4, 1), 0.5))
+        mean_f, sm_f = train_cov_forests(ds, UNIFORM_CFG, 0)
+        ym, ys = ds.y[j2_indices(tree_view(mean_f, 0))], ds.y[j2_indices(tree_view(sm_f, 0))]
+        mean = ym.mean(axis=0)
+        second = (ys[:, :, None] * ys[:, None, :]).mean(axis=0)
+        np.testing.assert_allclose(_second_moment(sm_f, ds, np.array([0.5])), second)
+        np.testing.assert_allclose(raw_cov(mean_f, sm_f, ds, np.array([0.5])),
+                                   second - np.outer(mean, mean))
 
-    def test_constant_responses(self):
-        c = np.array([2.0, -1.0])
-        ds = Dataset(np.tile(c, (20, 1)), np.random.default_rng(0).uniform(-1, 1, (20, 1)))
-        forest = train_forest(ds, ForestConfig(n_trees=5, min_leaf=2), ResponseKind.MEAN, 0)
-        for u in ([-0.5], [0.0], [0.9]):
-            np.testing.assert_allclose(cond_mean(forest, ds, np.array(u)), c, atol=1e-14)
+    @pytest.mark.parametrize("c, n, trees, seed", [
+        ([2.0, -1.0], 20, 5, 0),
+        ([1.0, 2.0], 8, 3, 1),
+    ], ids=["twenty-rows", "eight-rows"])
+    def test_constant_responses(self, c, n, trees, seed):
+        # Each weighting sums to one: the second moment is c c^T, and then the
+        # zero raw estimate leaves the weighted mean c (both weights are >= 0).
+        c = np.array(c)
+        ds = Dataset(np.tile(c, (n, 1)), np.random.default_rng(seed).uniform(-1, 1, (n, 1)))
+        forests = train_cov_forests(ds, ForestConfig(n_trees=trees, min_leaf=2), 0)
+        for u in ([-0.5], [0.0], [0.2], [0.9]):
+            np.testing.assert_allclose(_second_moment(forests[1], ds, np.array(u)),
+                                       np.outer(c, c), atol=1e-14)
+            np.testing.assert_allclose(raw_cov(*forests, ds, np.array(u)), 0.0, atol=1e-14)
 
     def test_kind_guard(self):
         ds = make_dataset(n=10, p=2, d=1, seed=0)
-        forest = train_forest(ds, ForestConfig(n_trees=1, min_leaf=2),
-                              ResponseKind.SECOND_MOMENT, 0)
-        with pytest.raises(ValueError):
-            cond_mean(forest, ds, np.zeros(1))
+        mean_f, sm_f = train_cov_forests(ds, ForestConfig(n_trees=1, min_leaf=2), 0)
+        for forests in ((sm_f, sm_f), (mean_f, mean_f), (sm_f, mean_f)):
+            with pytest.raises(ValueError, match="response kind"):
+                raw_cov(*forests, ds, np.zeros(1))
 
-
-class TestCondSecondMoment:
-    def test_average_of_squares(self):
-        ds = Dataset(np.array([[1.0], [-1.0], [1.0], [-1.0]]), np.full((4, 1), 0.5))
-        forest = train_forest(ds, UNIFORM_CFG, ResponseKind.SECOND_MOMENT, 0)
-        out = cond_second_moment(forest, ds, np.array([0.5]))
-        np.testing.assert_allclose(out, [[1.0]])
-
-    def test_single_outer_product(self):
-        y = np.array([1.0, 2.0])
-        ds = Dataset(np.tile(y, (8, 1)), np.random.default_rng(1).uniform(-1, 1, (8, 1)))
-        forest = train_forest(ds, ForestConfig(n_trees=3, min_leaf=2),
-                              ResponseKind.SECOND_MOMENT, 0)
-        out = cond_second_moment(forest, ds, np.array([0.2]))
-        np.testing.assert_allclose(out, [[1.0, 2.0], [2.0, 4.0]])
-
-    def test_symmetric(self):
+    def test_second_moment_symmetric(self):
         ds = make_dataset(n=40, p=4, d=2, seed=5)
         forest = train_forest(ds, ForestConfig(n_trees=10, min_leaf=3),
                               ResponseKind.SECOND_MOMENT, 0)
-        out = cond_second_moment(forest, ds, np.array([0.1, 0.1]))
+        out = _second_moment(forest, ds, np.array([0.1, 0.1]))
         np.testing.assert_array_equal(out, out.T)
 
-    def test_diagonal_nonnegative(self):
+    def test_second_moment_diagonal_nonnegative(self):
         ds = make_dataset(n=40, p=3, d=2, seed=6)
         forest = train_forest(ds, ForestConfig(n_trees=10, min_leaf=3),
                               ResponseKind.SECOND_MOMENT, 0)
         rng = np.random.default_rng(2)
         for _ in range(10):
-            out = cond_second_moment(forest, ds, rng.uniform(-1, 1, 2))
+            out = _second_moment(forest, ds, rng.uniform(-1, 1, 2))
             assert np.all(np.diagonal(out) >= 0)
+
+
+class TestWeightedCov:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        shape=st.sampled_from(["forest", "kernel"]),
+        n=st.integers(1, 40),
+        p=st.integers(1, 6),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_brute_force_loop_property(self, data, shape, n, p, seed):
+        # The two call shapes: the forest passes each weighting's own rows
+        # (two index sets, nonzero weights); the kernel baseline passes all
+        # rows twice with one Epanechnikov weighting, zeros included, which
+        # ``_kernel_raw`` must hand over unchanged.
+        gen = np.random.default_rng(seed)
+        y = gen.standard_normal((n, p)) * 10.0 ** gen.uniform(-3, 3, p)
+        if shape == "forest":
+            ia = np.flatnonzero(data.draw(hnp.arrays(bool, n)))
+            ib = np.flatnonzero(data.draw(hnp.arrays(bool, n)))
+            assume(len(ia) and len(ib))
+            a, b = gen.uniform(0.01, 1.0, len(ia)), gen.uniform(0.01, 1.0, len(ib))
+            a, b = a / a.sum(), b / b.sum()
+            got = weighted_cov(y[ia], a, y[ib], b)
+        else:
+            uj = gen.uniform(-1, 1, n)
+            target, h = data.draw(st.floats(-1.5, 1.5)), data.draw(st.floats(0.05, 2.0))
+            w = _epanechnikov((uj - target) / h)
+            assume(w.sum() > 0)
+            ia = ib = np.arange(n)
+            a = b = w / w.sum()
+            got = weighted_cov(y, a, y, b)
+            np.testing.assert_array_equal(_kernel_raw(y, uj, target, h), got)
+        mean = np.zeros(p)
+        second = np.zeros((p, p))
+        for i, ai in zip(ia, a):
+            mean += ai * y[i]
+        for i, bi in zip(ib, b):
+            second += bi * np.outer(y[i], y[i])
+        expected = second - np.outer(mean, mean)
+        # Each entry of either computation is a sum of at most n + 1 rounded
+        # products, so each lies within gamma_{n+3} (S + 3 M) of the exact
+        # value (Higham 2002, ch. 3): S = sum_i b_i |y_i| |y_i|^T bounds the
+        # second moment's terms, M = m m^T with m = sum_i a_i |y_i| the mean
+        # outer product's, and the three extra roundings cover the outer
+        # product, the symmetrisation and the difference.  The two
+        # computations differ by at most twice that.
+        absy = np.abs(y)
+        scale = (absy[ib].T * b) @ absy[ib] + 3.0 * np.outer(a @ absy[ia], a @ absy[ia])
+        bound = 2.0 * (n + 3) * 2.0**-53 / (1.0 - (n + 3) * 2.0**-53) * scale
+        assert np.all(np.abs(got - expected) <= bound)
+        np.testing.assert_array_equal(got, got.T)
 
 
 class TestRawCov:
@@ -137,9 +191,16 @@ class TestRawCov:
     def test_fingerprint_guard(self):
         ds = make_dataset(n=20, p=2, d=1, seed=0)
         other = make_dataset(n=20, p=2, d=1, seed=1)
-        forests = train_cov_forests(ds, ForestConfig(n_trees=2, min_leaf=2), 0)
-        with pytest.raises(ValueError):
+        cfg = ForestConfig(n_trees=2, min_leaf=2)
+        forests = train_cov_forests(ds, cfg, 0)
+        with pytest.raises(ValueError, match="different dataset"):
             raw_cov(*forests, other, np.zeros(1))
+        # A pair of forests from two datasets: either forest fails the check.
+        others = train_cov_forests(other, cfg, 0)
+        for pair in ((forests[0], others[1]), (others[0], forests[1])):
+            for data in (ds, other):
+                with pytest.raises(ValueError, match="different dataset"):
+                    raw_cov(*pair, data, np.zeros(1))
 
     def test_monotone_covariate_transform_at_training_points(self):
         # Strictly increasing per-coordinate maps preserve covariate ranks, so

@@ -118,3 +118,28 @@ def test_rule_catches_unused_imports(tmp_path):
         "    return np.sum(shrink(x, 0.1, None))\n"
     )
     assert [hit.split(" imports unused ")[1] for hit in _unused_imports(src)] == ["os", "correct"]
+
+
+def test_codelines_counts_code_only():
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "codelines", PKG.parents[1] / "tools" / "codelines.py"
+    )
+    codelines = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(codelines)
+    src = (
+        '"""Module docstring,\n'
+        'two lines."""\n'
+        "\n"
+        "# a comment\n"
+        "import os  # counted\n"
+        "\n"
+        "def f(x):\n"
+        '    """Docstring."""\n'
+        "    s = '''not a\n"
+        "    docstring'''\n"
+        "    return (x +\n"
+        "            1)\n"
+    )
+    assert codelines.code_lines(src) == 6
