@@ -51,7 +51,8 @@ class Setting(NamedTuple):
     """Flag ``--key`` and config key ``key``; a default of None makes it required.
 
     ``forest_field`` names the `ForestConfig` field the value sets, whose
-    data-free rules (``ForestConfig.check``) it must pass wherever it is given.
+    data-free rules (``ForestConfig.check``) it must pass wherever it is given;
+    such a row is made by ``_forest_setting``.
     """
 
     key: str
@@ -63,15 +64,24 @@ class Setting(NamedTuple):
     forest_field: str | None = None
 
 
+def _forest_setting(key: str, type: type, field: str, help: str | None = None) -> Setting:
+    """The setting of `ForestConfig` field ``field``, with its default; 0 stands
+    for a default of None, which the data resolves (see ``_forest_config``)."""
+    default = getattr(ForestConfig(), field)
+    if default is None:
+        return Setting(key, type, 0, help, minimum=0, forest_field=field)
+    return Setting(key, type, default, help, forest_field=field)
+
+
 _COMMON = (
     Setting("seed", int, 0, minimum=0),
     Setting("workers", int, 1, "2 or more grows each fit's two forests at once, in one forked process", minimum=1),
-    Setting("trees", int, 500, forest_field="n_trees"),
-    Setting("subsample", int, 0, "0 means ceil(n/2)", minimum=0),
-    Setting("min-leaf", int, 5, forest_field="min_leaf"),
-    Setting("omega", float, 0.05, forest_field="regularity"),
-    Setting("random-split-prob", float, 0.05, forest_field="random_split_prob"),
-    Setting("mtry", int, 0, "0 means ceil(sqrt(d))", minimum=0),
+    _forest_setting("trees", int, "n_trees"),
+    _forest_setting("subsample", int, "subsample_size", "0 means ceil(n/2)"),
+    _forest_setting("min-leaf", int, "min_leaf"),
+    _forest_setting("omega", float, "regularity"),
+    _forest_setting("random-split-prob", float, "random_split_prob"),
+    _forest_setting("mtry", int, "mtry", "0 means ceil(sqrt(d))"),
     Setting("folds", int, 5, minimum=2),
     Setting("grid-size", int, 20, minimum=0),
 )
@@ -133,7 +143,7 @@ def _read_config_file(path: str, settings: tuple[Setting, ...]) -> dict:
         text = Path(path).read_text()
     except OSError as exc:
         raise UsageError(f"--config {path}: {exc.strerror}") from exc
-    values = {}
+    values, set_at = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -144,6 +154,9 @@ def _read_config_file(path: str, settings: tuple[Setting, ...]) -> dict:
             raise UsageError(f"{where}: expected key=value, got {line!r}")
         if key not in by_key:
             raise UsageError(f"{where}: unknown config key {key!r}")
+        if key in set_at:
+            raise UsageError(f"{where}: {key} is already set at {set_at[key]}")
+        set_at[key] = where
         setting = by_key[key]
         try:
             value = setting.type(raw)
@@ -175,14 +188,9 @@ def _config_lines(cfg: dict) -> list[str]:
 
 
 def _forest_config(cfg: dict) -> ForestConfig:
-    return ForestConfig(
-        n_trees=cfg["trees"],
-        subsample_size=cfg["subsample"] if cfg["subsample"] > 0 else None,
-        min_leaf=cfg["min-leaf"],
-        regularity=cfg["omega"],
-        random_split_prob=cfg["random-split-prob"],
-        mtry=cfg["mtry"] if cfg["mtry"] > 0 else None,
-    )
+    # 0 means None: only subsample and mtry take 0, as every other forest
+    # setting has passed ``ForestConfig.check``.
+    return ForestConfig(**{s.forest_field: cfg[s.key] or None for s in _COMMON if s.forest_field})
 
 
 def _layout_from(cfg: dict) -> CsvLayout:
@@ -296,15 +304,11 @@ def cmd_backtest(cfg: dict, worker) -> int:
     out = Path(cfg["out"])
     header = [f"# {line}" for line in _config_lines(cfg)]
     ret_lines = header + ["date,return"]
-    for i, r in enumerate(result.daily_returns):
-        label = result.dates[i] if result.dates else str(i)
-        ret_lines.append(f"{label},{repr(float(r))}")
+    ret_lines += [f"{day},{repr(float(r))}" for day, r in zip(result.days, result.daily_returns)]
     out.with_suffix(".returns.csv").write_text("\n".join(ret_lines) + "\n")
 
     w_lines = header + ["date," + ",".join(f"w{j + 1}" for j in range(panel.p))]
-    for i, w in enumerate(result.weights_log):
-        label = result.dates[i] if result.dates else str(i)
-        w_lines.append(label + "," + ",".join(repr(float(x)) for x in w))
+    w_lines += [day + "," + ",".join(repr(float(x)) for x in w) for day, w in zip(result.days, result.weights_log)]
     out.with_suffix(".weights.csv").write_text("\n".join(w_lines) + "\n")
 
     perf = result.perf

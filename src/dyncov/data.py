@@ -175,10 +175,16 @@ def _bad_cell(path, line: int, raw: list[str], text_pos: int | None):
 
 
 def _col_pos(path, header: list[str], name: str) -> int:
-    try:
-        return header.index(name)
-    except ValueError:
-        raise CsvFormatError(f"{path}: column {name!r} not in header") from None
+    """The 0-based position of the one header column named ``name``."""
+    if name not in header:
+        raise CsvFormatError(f"{path}: column {name!r} not in header")
+    pos = header.index(name)
+    if name in header[pos + 1:]:
+        raise CsvFormatError(
+            f"{path}: column {name!r} appears more than once in the header, "
+            f"at columns {pos + 1} and {header.index(name, pos + 1) + 1}"
+        )
+    return pos
 
 
 def load_returns_csv(path, layout: CsvLayout) -> Dataset:

@@ -72,7 +72,7 @@ def performance(daily_returns) -> Performance:
 class BacktestResult:
     daily_returns: np.ndarray
     weights_log: np.ndarray  # (days, p)
-    dates: tuple[str, ...] | None
+    days: tuple[str, ...]  # each day's label: its date, else its 0-based index
     perf: Performance
 
 
@@ -126,8 +126,9 @@ def backtest(
     ``forest_config`` shapes the forests, and ``seed`` drives every random
     stream of the run, the forests' and the CV folds'.  ``worker`` grows
     each fit's second-moment forest (see ``train_cov_forests``).  Settings
-    that ``check_backtest`` refuses raise before day 1, and a failed PD
-    correction names its day as the returns file labels it.
+    that ``check_backtest`` refuses raise before day 1.  Each out-of-sample
+    day is labelled by its date, else by its 0-based index; errors name the
+    day by that label, and the result lists the labels.
     """
     check_backtest(spec, panel.n, panel.d, window, stride, forest_config, folds)
     T, p = panel.n, panel.p
@@ -138,12 +139,13 @@ def backtest(
             stacklevel=2,
         )
 
+    days = tuple(panel.dates[window:]) if panel.dates is not None else tuple(map(str, range(T - window)))
     daily = np.empty(T - window)
     weights = np.empty((T - window, p))
-    for step, i in enumerate(range(window, T)):
+    for step, day in enumerate(days):
+        i = window + step
         rows = np.arange(i - window, i)
         u = panel.u[i]
-        day = panel.dates[i] if panel.dates is not None else step
         if spec.name == "identity":
             sigma = np.eye(p)
         else:
@@ -167,10 +169,4 @@ def backtest(
         weights[step] = w
         daily[step] = float(w @ panel.y[i])
 
-    dates = tuple(panel.dates[window:]) if panel.dates is not None else None
-    return BacktestResult(
-        daily_returns=daily,
-        weights_log=weights,
-        dates=dates,
-        perf=performance(daily),
-    )
+    return BacktestResult(daily_returns=daily, weights_log=weights, days=days, perf=performance(daily))

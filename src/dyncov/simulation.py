@@ -204,8 +204,12 @@ def rule_of_thumb_bandwidth(uj: np.ndarray) -> float:
     return 1.06 * max(sd, 1e-12) * len(uj) ** (-0.2)
 
 
-def _kernel_raw(y: np.ndarray, uj: np.ndarray, u_target: float, h: float, retries: int = 40) -> np.ndarray:
-    for _ in range(retries):
+# The kernel baseline doubles a bandwidth that gives every row zero weight, at most this often.
+KERNEL_RETRIES = 40
+
+
+def _kernel_raw(y: np.ndarray, uj: np.ndarray, u_target: float, h: float) -> np.ndarray:
+    for _ in range(KERNEL_RETRIES):
         w = _epanechnikov((uj - u_target) / h)
         total = w.sum()
         if total > 0:

@@ -18,6 +18,10 @@ from .data import Dataset
 from .forest import ForestConfig
 
 
+# Each rule's parameters, in descriptor order; a rule takes at most these.
+RULE_PARAMS = {"hard": (), "soft": (), "scad": ("a",), "alasso": ("eta",)}
+
+
 @dataclass(frozen=True)
 class ThresholdRule:
     """One of the four shrinkage rules: hard, soft, scad(a), alasso(eta)."""
@@ -27,7 +31,7 @@ class ThresholdRule:
     eta: float = 3.0
 
     def __post_init__(self):
-        if self.kind not in ("hard", "soft", "scad", "alasso"):
+        if self.kind not in RULE_PARAMS:
             raise ValueError(f"unknown rule kind {self.kind!r}")
         if self.kind == "scad" and not (math.isfinite(self.a) and self.a > 2):
             raise ValueError(f"scad requires a finite a > 2, got {self.a}")
@@ -36,25 +40,18 @@ class ThresholdRule:
 
     @classmethod
     def parse(cls, text: str) -> "ThresholdRule":
-        """Parse CLI strings: hard | soft | scad[:a] | alasso[:eta]."""
-        parts = text.strip().lower().split(":")
-        kind = parts[0]
-        if kind in ("hard", "soft"):
-            if len(parts) > 1:
-                raise ValueError(f"rule {kind!r} takes no parameter")
-            return cls(kind)
-        if kind == "scad":
-            return cls("scad", a=float(parts[1])) if len(parts) > 1 else cls("scad")
-        if kind == "alasso":
-            return cls("alasso", eta=float(parts[1])) if len(parts) > 1 else cls("alasso")
-        raise ValueError(f"unknown thresholding rule {text!r}")
+        """Parse CLI strings ``KIND[:PARAM]``: hard | soft | scad[:a] | alasso[:eta]."""
+        kind, *values = text.strip().lower().split(":")
+        if kind not in RULE_PARAMS:
+            raise ValueError(f"unknown thresholding rule {text!r}")
+        names = RULE_PARAMS[kind]
+        if len(values) > len(names):
+            form = kind + "".join(f"[:{name}]" for name in names)
+            raise ValueError(f"thresholding rule {text!r} has too many parts; write {form}")
+        return cls(kind, **{name: float(value) for name, value in zip(names, values)})
 
     def __str__(self) -> str:
-        if self.kind == "scad":
-            return f"scad:{self.a:g}"
-        if self.kind == "alasso":
-            return f"alasso:{self.eta:g}"
-        return self.kind
+        return ":".join([self.kind] + [f"{getattr(self, name):g}" for name in RULE_PARAMS[self.kind]])
 
 
 def shrink(z, lam: float, rule: ThresholdRule):
@@ -281,15 +278,13 @@ def _factorizes(matrix: np.ndarray) -> bool:
     return True
 
 
-def pd_correct(
-    matrix: np.ndarray, c_n: float | None = None, where: str = ""
-) -> tuple[np.ndarray, PDCorrection]:
+def pd_correct(matrix: np.ndarray, where: str = "") -> tuple[np.ndarray, PDCorrection]:
     """Shift a symmetric matrix by (delta_hat + c) I unless it is positive definite.
 
     With mu the computed smallest eigenvalue, M is returned unchanged when
     mu > 0 and M passes a Cholesky factorization.  Otherwise delta_hat =
     max(0, -mu) and the margin c starts at max(c_n, t(N + delta_hat)), with
-    N = p max_ij |M_ij| (a bound on ||M||_F >= ||M||_2) and
+    c_n = ``default_cn(M)``, N = p max_ij |M_ij| (a bound on ||M||_F >= ||M||_2) and
     t(x) = 2 (p+1)^2 u x (u the unit roundoff).  That floor makes the shifted
     matrix pass Cholesky however small the diagonal is next to the rest,
     as long as eigvalsh's error is within its model bound:
@@ -307,7 +302,7 @@ def pd_correct(
     eigvalsh can miss by more than that model (2.4e-13 ||M||_2 at p = 5,
     for entries of 1e95 and 1e-62), so the shifted matrix is factorized,
     and c grows 16-fold until it passes.  Where c_n already exceeds
-    t(N + delta_hat) and the first shift passes, c = c_n as before.  A
+    t(N + delta_hat) and the first shift passes, c = c_n.  A
     LinAlgError from the eigenvalues, or when no finite shift passes, names
     ``where``, the caller's location of the matrix (a query point, a day, a
     replication's test point).
@@ -318,10 +313,7 @@ def pd_correct(
     top = float(np.abs(matrix).max(initial=0.0))
     if np.abs(matrix - matrix.T).max(initial=0.0) > 1e-12 * max(1.0, top):
         raise ValueError("matrix is not symmetric within tolerance")
-    if c_n is None:
-        c_n = default_cn(matrix)
-    if c_n <= 0:
-        raise ValueError("c_n must be > 0")
+    c_n = default_cn(matrix)
     at = f" at {where}" if where else ""
     try:
         mu_min = float(np.linalg.eigvalsh(matrix)[0])

@@ -410,6 +410,19 @@ class TestEstimate:
         assert code == EXIT_USAGE
         assert f"{what} cell at line 4, column 2" in capsys.readouterr().err
 
+    def test_repeated_header_column_is_usage_error(self, tmp_path, capsys):
+        train, query, _ = self._common(tmp_path)
+        _replace_cell(train, 1, 2, "y1")  # header y1,y1,y3,u1,u2
+        code = main([
+            "estimate", "--train", str(train), "--query", str(query),
+            "--response-cols", "y1,y3", "--covariate-cols", "u1,u2",
+            "--trees", "4", "--stage", "raw", "--out-dir", str(tmp_path / "est"),
+        ])
+        assert code == EXIT_USAGE
+        assert (f"{train}: column 'y1' appears more than once in the header, at columns 1 and 2"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "est").exists()
+
 
 class TestBacktest:
     def _run(self, tmp_path, extra=(), T=30, out="bt"):
@@ -592,6 +605,17 @@ class TestSettings:
         assert f"{cfg}:3: {key}" in capsys.readouterr().err
         assert not out.with_suffix(".csv").exists()
 
+    def test_config_key_set_twice(self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("trees=10\ntrees=20\n")
+        self._refused_before_loading(tmp_path, capsys, monkeypatch, ["simulate", "--config", str(cfg)],
+                                     f"{cfg}:2: trees is already set at {cfg}:1")
+
+    @pytest.mark.parametrize("command", ["simulate", "estimate", "backtest"])
+    def test_default_forest_settings_build_the_default_config(self, command):
+        _, _, settings = cli._COMMANDS[command]
+        assert cli._forest_config({s.key: s.default for s in settings}) == forest.ForestConfig()
+
     def test_missing_config_file_names_path(self, tmp_path, capsys):
         cfg = tmp_path / "nope.cfg"
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == EXIT_USAGE
@@ -643,6 +667,15 @@ class TestSettings:
     ], ids=["identity-rule", "kernel-zero", "fdcm", "forest-covariate", "simulate-identity"])
     def test_method_refused_before_loading(self, tmp_path, capsys, monkeypatch, argv, message):
         self._refused_before_loading(tmp_path, capsys, monkeypatch, argv, message)
+
+    @pytest.mark.parametrize("argv, rule", [
+        (["estimate", "--rule", "alasso:2:x"], "alasso:2:x"),
+        (["simulate", "--methods", "fdcm:scad:3.7:banana"], "scad:3.7:banana"),
+        (["backtest", "--method", "mkernel:2:alasso:2:5"], "alasso:2:5"),
+    ], ids=["estimate", "simulate", "backtest"])
+    def test_rule_with_more_parts_than_it_takes(self, tmp_path, capsys, monkeypatch, argv, rule):
+        self._refused_before_loading(tmp_path, capsys, monkeypatch, argv,
+                                     f"thresholding rule '{rule}' has too many parts")
 
     @pytest.mark.parametrize("rule", ["scad:inf", "scad:nan", "alasso:inf", "alasso:nan"])
     @pytest.mark.parametrize("command, flag, prefix", [

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -148,6 +149,25 @@ class TestCsvLoading:
         layout = CsvLayout(response_cols=("y1", "nope"), covariate_cols=("u1",))
         with pytest.raises(CsvFormatError, match="nope"):
             load_returns_csv(path, layout)
+
+    @pytest.mark.parametrize("header, layout, column, positions", [
+        ("y1,y1,u1", dict(response_cols=("y1",), covariate_cols=("u1",)), "y1", "1 and 2"),
+        ("u1,y1,u1", dict(response_cols=("y1",), covariate_cols=("u1",)), "u1", "1 and 3"),
+        ("date,y1,u1,date", dict(response_cols=("y1",), covariate_cols=("u1",), date_col="date"),
+         "date", "1 and 4"),
+    ], ids=["response", "covariate", "date"])
+    def test_repeated_header_column(self, tmp_path, header, layout, column, positions):
+        path = tmp_path / "t.csv"
+        path.write_text(f"{header}\n" + ",".join(["1"] * len(header.split(","))) + "\n")
+        message = f"{path}: column {column!r} appears more than once in the header, at columns {positions}"
+        with pytest.raises(CsvFormatError, match=re.escape(message)):
+            load_returns_csv(path, CsvLayout(**layout))
+
+    def test_repeated_header_column_the_layout_omits(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("y1,x,u1,x\n1,2,3,4\n")
+        ds = load_returns_csv(path, CsvLayout(response_cols=("y1",), covariate_cols=("u1",)))
+        assert (ds.y[0, 0], ds.u[0, 0]) == (1.0, 3.0)
 
     def test_ragged_row(self, tmp_path):
         path = tmp_path / "t.csv"

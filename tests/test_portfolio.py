@@ -158,12 +158,15 @@ class TestBacktest:
         np.testing.assert_array_equal(full.weights_log[:8], truncated.weights_log)
 
     def test_dates_follow_evaluation_rows(self):
+        # Each out-of-sample day is labelled by its date, else by its 0-based index.
         T = 15
         y = np.random.default_rng(1).standard_normal((T, 2))
         u = np.random.default_rng(2).uniform(-1, 1, (T, 1))
         panel = Dataset(y, u, dates=tuple(f"d{i}" for i in range(T)))
         result = backtest(panel, MethodSpec("identity"), window=10)
-        assert result.dates == tuple(f"d{i}" for i in range(10, 15))
+        assert result.days == tuple(f"d{i}" for i in range(10, 15))
+        undated = backtest(Dataset(y, u), MethodSpec("identity"), window=10)
+        assert undated.days == ("0", "1", "2", "3", "4")
 
     def test_failed_pd_correction_names_the_dated_day(self, monkeypatch):
         T = 15

@@ -298,7 +298,7 @@ class TestKernelBaseline:
         np.testing.assert_allclose(raw, _sample_cov(y_near), atol=1e-12)
         assert _epanechnikov(np.array([1.5]))[0] == 0.0
 
-    def test_widen_bandwidth_retry(self):
+    def test_widen_bandwidth_retry(self, monkeypatch):
         gen = np.random.default_rng(6)
         y = gen.standard_normal((10, 2))
         uj = np.zeros(10)
@@ -306,8 +306,10 @@ class TestKernelBaseline:
         # eventually cover the data.
         raw = _kernel_raw(y, uj, 10.0, h=1e-3)
         assert raw.shape == (2, 2)
-        with pytest.raises(ValueError):
-            _kernel_raw(y, uj, 10.0, h=1e-3, retries=1)
+        # One try, at a bandwidth that covers no row, leaves every weight zero.
+        monkeypatch.setattr(simulation, "KERNEL_RETRIES", 1)
+        with pytest.raises(ValueError, match="all kernel weights zero"):
+            _kernel_raw(y, uj, 10.0, h=1e-3)
 
     def test_full_baseline_runs(self):
         spec = ModelSpec(model=1, p=3, d=2, n=40)
@@ -377,6 +379,11 @@ class TestMethodSpec:
                 MethodSpec.parse(text)
         with pytest.raises(ValueError):
             MethodSpec("identity", ThresholdRule("hard"))
+
+    @pytest.mark.parametrize("text", ["mkernel:2:alasso:2:5", "fdcm:scad:3.7:banana", "static:hard:1"])
+    def test_rule_with_more_parts_than_it_takes(self, text):
+        with pytest.raises(ValueError, match="has too many parts"):
+            MethodSpec.parse(text)
 
     def test_forest_and_kernel_arms(self):
         assert [n for n in METHOD_NAMES if MethodSpec(n).forest] == ["fdcm", "mfdcm"]

@@ -1,3 +1,4 @@
+import re
 from unittest import mock
 
 import numpy as np
@@ -56,6 +57,15 @@ class TestRuleParsing:
             ThresholdRule("alasso", eta=0.0)
         with pytest.raises(ValueError):
             ThresholdRule.parse("soft:1")
+
+    @pytest.mark.parametrize("text, form", [
+        ("hard:1", "write hard"), ("soft:1:2", "write soft"),
+        ("scad:3.7:banana", "write scad[:a]"), ("alasso:2:x", "write alasso[:eta]"),
+    ])
+    def test_more_parts_than_the_rule_takes(self, text, form):
+        message = f"thresholding rule '{text}' has too many parts; {form}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ThresholdRule.parse(text)
 
     @pytest.mark.parametrize("text", ["scad:inf", "scad:nan", "alasso:inf", "alasso:nan"])
     def test_non_finite_parameter_rejected(self, text):
@@ -396,10 +406,11 @@ class TestPdCorrect:
 
     def test_shift_identity(self):
         m = np.diag([-0.3, 1.0])
-        out, info = pd_correct(m, c_n=0.01)
+        out, info = pd_correct(m)
         assert info.applied
         assert info.delta_hat == pytest.approx(0.3)
-        np.testing.assert_allclose(np.linalg.eigvalsh(out)[0], 0.01, atol=1e-12)
+        assert info.c_n == default_cn(m)
+        np.testing.assert_allclose(np.linalg.eigvalsh(out)[0], default_cn(m), atol=1e-12)
 
     def test_already_pd_unchanged(self):
         m = np.array([[2.0, 0.1], [0.1, 1.0]])
@@ -409,9 +420,11 @@ class TestPdCorrect:
 
     def test_zero_matrix_boundary(self):
         # mu_min = 0 counts as "<= 0", so the zero matrix becomes c_n * I.
-        out, info = pd_correct(np.zeros((2, 2)), c_n=0.05)
+        zero = np.zeros((2, 2))
+        out, info = pd_correct(zero)
         assert info.applied
-        np.testing.assert_allclose(out, 0.05 * np.eye(2))
+        assert info.c_n == default_cn(zero)
+        np.testing.assert_array_equal(out, default_cn(zero) * np.eye(2))
 
     def test_default_cn_scale(self):
         m = np.diag([3.0, -1.0])
@@ -425,10 +438,6 @@ class TestPdCorrect:
     def test_requires_symmetry(self):
         with pytest.raises(ValueError, match="symmetric"):
             pd_correct(np.array([[1.0, 0.5], [0.0, 1.0]]))
-
-    def test_invalid_cn(self):
-        with pytest.raises(ValueError):
-            pd_correct(np.eye(2), c_n=0.0)
 
 
 class TestPrecision:

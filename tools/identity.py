@@ -16,7 +16,9 @@ The runs: every benchmark workload's argv at seeds 0 and 1, on inputs made by
 extra argvs that put every arm through 2 and 3 folds and 1 and 2 workers:
 ``simulate`` with all five arms on models 3 and 4, ``estimate`` on the
 estimate-query inputs, and ``backtest`` with each arm kind on the
-backtest-rolling panel.
+backtest-rolling panel; rules are given with their default parameter and
+with an explicit one.  Last, ``estimate --stage raw`` on n = 8,000 rows
+(``PROBE``), whose wide split nodes can fall back to the exact scan.
 """
 
 from __future__ import annotations
@@ -33,11 +35,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.dont_write_bytecode = True  # leave benchmarks/ as it is
 sys.path.insert(0, str(ROOT / "benchmarks"))
-from workloads import WORKLOADS, cached_inputs, stage_inputs  # noqa: E402
+from workloads import WORKLOADS, Workload, cached_inputs, stage_inputs  # noqa: E402
 
 SEEDS = (0, 1)
-ARMS = "fdcm:soft,mfdcm:scad,static:hard,kernel:2:soft,mkernel:1:alasso"
-BACKTEST_ARMS = ("identity", "static:soft", "mkernel:2:hard", "mfdcm:scad")
+ARMS = "fdcm:soft,mfdcm:scad,mfdcm:scad:3.2,static:hard,kernel:2:soft,mkernel:1:alasso,mkernel:1:alasso:2.5"
+BACKTEST_ARMS = ("identity", "static:soft", "static:alasso:2.5", "mkernel:2:hard", "mfdcm:scad")
+ESTIMATE_RULES = ("hard", "alasso:2.5")
+PROBE = Workload("n8000-probe", "wide split nodes", "estimate", ("--stage", "raw", "--trees", "4"),
+                 model=1, n=8000, p=50, d=3, queries=5)
 RUN = "import sys; from dyncov.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
@@ -53,13 +58,15 @@ def runs():
                 "--trees", "40", "--methods", ARMS, "--folds", folds, "--workers", workers,
                 "--seed", "0", "--out", "sim",
             ]
-        yield f"estimate folds {folds} workers {workers}", query, 0, _replace(
-            query.argv(0), {"--trees": "40", "--rule": "hard", "--folds": folds, "--workers": workers}
-        )
+        for rule in ESTIMATE_RULES:
+            yield f"estimate {rule} folds {folds} workers {workers}", query, 0, _replace(
+                query.argv(0), {"--trees": "40", "--rule": rule, "--folds": folds, "--workers": workers}
+            )
         for arm in BACKTEST_ARMS:
             yield f"backtest {arm} folds {folds} workers {workers}", rolling, 0, _replace(
                 rolling.argv(0), {"--method": arm, "--folds": folds, "--workers": workers}
             )
+    yield "estimate n = 8,000 probe", PROBE, 0, PROBE.argv(0)
 
 
 def _replace(argv: list[str], values: dict[str, str]) -> list[str]:
