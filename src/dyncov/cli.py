@@ -18,11 +18,10 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple
 
-from .covariance import InProcess, raw_cov, train_cov_forests, write_matrix_csv
+from .covariance import raw_cov, train_cov_forests, write_matrix_csv
 from .data import CsvFormatError, CsvLayout, load_query_csv, load_returns_csv
 from .forest import ForestConfig
 from .portfolio import backtest, check_backtest, check_backtest_method
@@ -50,9 +49,9 @@ def _usage_errors():
 class Setting(NamedTuple):
     """Flag ``--key`` and config key ``key``; a default of None makes it required.
 
-    ``forest_field`` names the `ForestConfig` field the value sets, whose
-    data-free rules (``ForestConfig.check``) it must pass wherever it is given;
-    such a row is made by ``_forest_setting``.
+    ``forest_field`` names the `ForestConfig` field the value sets; wherever
+    it is given, the value must make a `ForestConfig`, which checks the
+    data-free rules.  Such a row is made by ``_forest_setting``.
     """
 
     key: str
@@ -95,10 +94,10 @@ _CSV_LAYOUT = (
 
 _SIMULATE = _COMMON + (
     Setting("model", int, 1, choices=(1, 2, 3, 4)),
-    Setting("p", int, 100),
-    Setting("d", int, 10),
-    Setting("n", int, 100),
-    Setting("reps", int, 50),
+    Setting("p", int, 100, minimum=1),
+    Setting("d", int, 10, minimum=1),
+    Setting("n", int, 100, minimum=1),
+    Setting("reps", int, 50, minimum=1),
     Setting("methods", str, "fdcm:soft", "comma list, e.g. fdcm:soft,static:scad:3.7,kernel:1:soft"),
     Setting("lambda-mode", str, "per-point", choices=("per-point", "shared")),
     Setting("out", str, "simulate", "output path prefix"),
@@ -130,7 +129,7 @@ def _check(setting: Setting, value, where: str):
         raise UsageError(f"{where} must be >= {setting.minimum}, got {value}")
     if setting.forest_field is not None:
         try:
-            replace(ForestConfig(), **{setting.forest_field: value}).check()
+            ForestConfig(**{setting.forest_field: value})
         except ValueError as exc:
             raise UsageError(f"{where}: {exc}") from None
     return value
@@ -189,7 +188,7 @@ def _config_lines(cfg: dict) -> list[str]:
 
 def _forest_config(cfg: dict) -> ForestConfig:
     # 0 means None: only subsample and mtry take 0, as every other forest
-    # setting has passed ``ForestConfig.check``.
+    # setting has made a ``ForestConfig`` on its own (``_check``).
     return ForestConfig(**{s.forest_field: cfg[s.key] or None for s in _COMMON if s.forest_field})
 
 
@@ -237,17 +236,13 @@ def cmd_estimate(cfg: dict, worker) -> int:
         rule = ThresholdRule.parse(cfg["rule"])
 
     dataset = load_returns_csv(cfg["train"], layout)
-    queries = load_query_csv(cfg["query"])
-    if queries.shape[1] != dataset.d:
-        raise UsageError(
-            f"query points have {queries.shape[1]} columns, training data has d={dataset.d}"
-        )
+    queries = load_query_csv(cfg["query"], layout.covariate_cols)
 
     with _usage_errors():
         if cfg["stage"] != "raw":
             check_cv_folds(dataset.n, cfg["folds"])
         forest_cfg = _forest_config(cfg).resolve_main(dataset.n, dataset.d)
-    forests = train_cov_forests(dataset, forest_cfg, cfg["seed"], worker)
+    fit = train_cov_forests(dataset, forest_cfg, cfg["seed"], worker)
     cv = None
     if cfg["stage"] != "raw":
         cv = ForestCV(dataset, forest_cfg, cfg["seed"], folds=cfg["folds"], grid_size=cfg["grid-size"],
@@ -257,7 +252,7 @@ def cmd_estimate(cfg: dict, worker) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = ["point,lambda,pd_applied,file"]
     for q, u in enumerate(queries):
-        matrix = raw_cov(*forests, dataset, u)
+        matrix = raw_cov(fit, u)
         lam = 0.0
         applied = False
         if cv is not None:
@@ -342,10 +337,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 @contextmanager
 def _training_worker(workers: int):
-    """What each fit hands its second-moment forest to: the calling process
-    at 1 worker, else one forked process, reaped when the block ends."""
+    """What each fit hands its second-moment forest to: None (the calling
+    process) at 1 worker, else one forked process, reaped when the block ends."""
     if workers < 2:
-        yield InProcess()
+        yield None
         return
     import os  # not at module level, so a run at 1 worker imports nothing new
 

@@ -9,17 +9,12 @@ correction.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .data import Dataset
 from .forest import Forest, ForestConfig, ResponseKind, train_forest, weight_vector
-
-
-def _check_forest(forest: Forest, dataset: Dataset, kind: ResponseKind) -> None:
-    if forest.response_kind is not kind:
-        raise ValueError(f"forest has response kind {forest.response_kind}, need {kind}")
-    if forest.dataset_fingerprint != dataset.fingerprint():
-        raise ValueError("forest was trained on a different dataset")
 
 
 def weighted_cov(
@@ -37,47 +32,45 @@ def weighted_cov(
     return (m + m.T) / 2.0 - np.outer(mean, mean)
 
 
-def raw_cov(
-    mean_forest: Forest,
-    sm_forest: Forest,
-    dataset: Dataset,
-    u: np.ndarray,
-) -> np.ndarray:
-    """Raw dynamic covariance estimate at u from the two forests' weightings
-    (``weighted_cov``)."""
-    _check_forest(mean_forest, dataset, ResponseKind.MEAN)
-    _check_forest(sm_forest, dataset, ResponseKind.SECOND_MOMENT)
-    wm, ws = weight_vector(mean_forest, u), weight_vector(sm_forest, u)
-    return weighted_cov(dataset.y[wm.indices], wm.values, dataset.y[ws.indices], ws.values)
+@dataclass(frozen=True)
+class CovForests:
+    """One fit: the mean and the second-moment forest, with the dataset both
+    were trained on.  Each forest is checked once, here, for its response
+    kind and for having been trained on ``dataset``."""
+
+    mean: Forest
+    second_moment: Forest
+    dataset: Dataset
+
+    def __post_init__(self):
+        for forest, kind in ((self.mean, ResponseKind.MEAN), (self.second_moment, ResponseKind.SECOND_MOMENT)):
+            if forest.response_kind is not kind:
+                raise ValueError(f"forest has response kind {forest.response_kind}, need {kind}")
+            if forest.dataset_fingerprint != self.dataset.fingerprint():
+                raise ValueError("forest was trained on a different dataset")
 
 
-class InProcess:
-    """Runs a submitted call in the calling process, when its result is asked
-    for: the default worker of ``train_cov_forests``, with the submit/result
-    calls of the forked one (``dyncov._worker.ForkWorker``)."""
-
-    def submit(self, fn, *args) -> None:
-        self._call = fn, args
-
-    def result(self):
-        fn, args = self._call
-        return fn(*args)
+def raw_cov(fit: CovForests, u: np.ndarray) -> np.ndarray:
+    """Raw dynamic covariance estimate at u from the fit's two forests'
+    weightings (``weighted_cov``)."""
+    wm, ws = weight_vector(fit.mean, u), weight_vector(fit.second_moment, u)
+    y = fit.dataset.y
+    return weighted_cov(y[wm.indices], wm.values, y[ws.indices], ws.values)
 
 
-def train_cov_forests(
-    dataset: Dataset, config: ForestConfig, seed: int, worker=None
-) -> tuple[Forest, Forest]:
+def train_cov_forests(dataset: Dataset, config: ForestConfig, seed: int, worker=None) -> CovForests:
     """Train the mean and the second-moment forest for raw_cov from ``seed``.
 
-    The second-moment forest goes to ``worker`` and the mean forest grows
-    here meanwhile; the default worker grows it here afterwards.  Each tree
-    draws from its own stream, so the forests do not depend on where they
-    grow.
+    The second-moment forest goes to ``worker`` (``dyncov._worker.ForkWorker``)
+    and the mean forest grows here meanwhile; without a worker both grow
+    here, the mean forest first.  Each tree draws from its own stream, so the
+    forests do not depend on where they grow.
     """
-    worker = InProcess() if worker is None else worker
+    if worker is None:
+        return CovForests(train_forest(dataset, config, ResponseKind.MEAN, seed),
+                          train_forest(dataset, config, ResponseKind.SECOND_MOMENT, seed), dataset)
     worker.submit(train_forest, dataset, config, ResponseKind.SECOND_MOMENT, seed)
-    mean = train_forest(dataset, config, ResponseKind.MEAN, seed)
-    return mean, worker.result()
+    return CovForests(train_forest(dataset, config, ResponseKind.MEAN, seed), worker.result(), dataset)
 
 
 def write_matrix_csv(path, matrix: np.ndarray, header_lines: list[str] | None = None) -> None:

@@ -211,16 +211,19 @@ def load_returns_csv(path, layout: CsvLayout) -> Dataset:
     return Dataset(y, u, dates)
 
 
-def load_query_csv(path) -> np.ndarray:
+def load_query_csv(path, covariate_cols: tuple[str, ...]) -> np.ndarray:
     """Load query covariate vectors, one per row, from a headered CSV.
 
-    Every row must have as many cells as the header and every cell must be a
-    finite number.  Errors name the file line and column.
+    Column j of the result is the header column named ``covariate_cols[j]``,
+    which must appear there once.  Every row must have as many cells as the
+    header and every cell must be a finite number.  Errors name the file
+    line and column.
     """
-    _, values, _ = _read_numeric_csv(path)
+    header, values, _ = _read_numeric_csv(path)
+    u_pos = [_col_pos(path, header, c) for c in covariate_cols]
     if not len(values):
         raise CsvFormatError(f"{path}: no query rows")
-    return values.copy()
+    return values.take(u_pos, axis=1)
 
 
 def write_returns_csv(path, dataset: Dataset, layout: CsvLayout) -> None:

@@ -79,7 +79,10 @@ class ForestConfig:
     """Tuning knobs for honest-forest training; the seed is ``train_forest``'s argument.
 
     ``subsample_size=None`` resolves to ceil(n/2) and ``mtry=None`` to
-    ceil(sqrt(d)) at training time.
+    ceil(sqrt(d)) at training time.  The rules that hold whatever the data
+    are checked when a config is made: at least one tree, a leaf size of at
+    least one, and omega and the random-split probability finite numbers in
+    their ranges.
     """
 
     n_trees: int = 500
@@ -89,9 +92,21 @@ class ForestConfig:
     random_split_prob: float = 0.05
     mtry: int | None = None
 
+    def __post_init__(self):
+        if self.n_trees < 1:
+            raise ValueError(f"n_trees must be >= 1, got {self.n_trees}")
+        if self.min_leaf < 1:
+            raise ValueError(f"min_leaf must be >= 1, got {self.min_leaf}")
+        # A NaN fails both comparisons, and so does an infinity.
+        if not 0 < self.regularity <= 0.2:
+            raise ValueError(f"regularity must be finite and lie in (0, 0.2], got {self.regularity}")
+        if not 0 < self.random_split_prob <= 1:
+            raise ValueError(
+                f"random_split_prob must be finite and lie in (0, 1], got {self.random_split_prob}"
+            )
+
     def resolve(self, n: int, d: int) -> "ForestConfig":
-        """``check``, then s and mtry filled in and checked for n rows of dimension d."""
-        self.check()
+        """s and mtry filled in and checked for n rows of dimension d."""
         s = self.subsample_size if self.subsample_size is not None else math.ceil(n / 2)
         mtry = self.mtry if self.mtry is not None else math.ceil(math.sqrt(d))
         if not 2 <= s <= n:
@@ -119,22 +134,6 @@ class ForestConfig:
                 f"got floor(s/2)={s // 2} (s={s}) and min_leaf={k}"
             )
         return cfg
-
-    def check(self) -> None:
-        """The rules that hold whatever the data: at least one tree, a leaf
-        size of at least one, and omega and the random-split probability
-        finite numbers in their ranges."""
-        if self.n_trees < 1:
-            raise ValueError(f"n_trees must be >= 1, got {self.n_trees}")
-        if self.min_leaf < 1:
-            raise ValueError(f"min_leaf must be >= 1, got {self.min_leaf}")
-        # A NaN fails both comparisons, and so does an infinity.
-        if not 0 < self.regularity <= 0.2:
-            raise ValueError(f"regularity must be finite and lie in (0, 0.2], got {self.regularity}")
-        if not 0 < self.random_split_prob <= 1:
-            raise ValueError(
-                f"random_split_prob must be finite and lie in (0, 1], got {self.random_split_prob}"
-            )
 
 
 @dataclass

@@ -151,11 +151,10 @@ def backtest(
         else:
             if spec.forest:
                 if step % stride == 0:
-                    fit = panel.subset(rows)
-                    forests = train_cov_forests(fit, forest_config, seed, worker)
-                    cv = ForestCV(fit, forest_config, seed, folds=folds, grid_size=grid_size,
+                    fit = train_cov_forests(panel.subset(rows), forest_config, seed, worker)
+                    cv = ForestCV(fit.dataset, forest_config, seed, folds=folds, grid_size=grid_size,
                                   worker=worker)
-                raw = raw_cov(*forests, fit, u)
+                raw = raw_cov(fit, u)
                 mat = cv.select(u, spec.rule, raw).apply(raw)
             elif spec.name == "static":
                 mat = static_baseline(panel.subset(rows), spec.rule, folds=folds,

@@ -397,7 +397,7 @@ def _run_rep(config: ExperimentConfig, points: np.ndarray, rep: int, worker=None
     """One replication: a fresh dataset, every method scored one test point at a time.
 
     Returns the (methods, points, 4) array of Frobenius loss, spectral loss,
-    TPR and FPR.  Only the forests, the ``ForestCV`` state and one matrix per
+    TPR and FPR.  Only the fit, the ``ForestCV`` state and one matrix per
     static arm outlive a point, so the p x p memory held does not grow with
     the number of points or arms.  ``worker`` grows each fit's second-moment
     forest (see ``train_cov_forests``).
@@ -409,11 +409,11 @@ def _run_rep(config: ExperimentConfig, points: np.ndarray, rep: int, worker=None
     forest_rules = sorted({m.rule for m in config.methods if m.forest}, key=str)
     shared = {}
     if forest_rules:
-        forests = train_cov_forests(dataset, config.forest, config.seed, worker)
+        fit = train_cov_forests(dataset, config.forest, config.seed, worker)
         cv = ForestCV(dataset, config.forest, **cv_args, worker=worker)
         if config.lambda_mode == "shared":
             centroid = dataset.u.mean(axis=0)
-            raw = raw_cov(*forests, dataset, centroid)
+            raw = raw_cov(fit, centroid)
             shared = {rule: cv.select(centroid, rule, raw) for rule in forest_rules}
     static = {m: static_baseline(dataset, m.rule, **cv_args) for m in config.methods if m.name == "static"}
 
@@ -421,7 +421,7 @@ def _run_rep(config: ExperimentConfig, points: np.ndarray, rep: int, worker=None
     for k, u in enumerate(points):
         where = f"replication {rep}, test point {k}"
         if forest_rules:
-            raw = raw_cov(*forests, dataset, u)
+            raw = raw_cov(fit, u)
             thresholded = {
                 rule: (shared[rule] if shared else cv.select(u, rule, raw)).apply(raw)
                 for rule in forest_rules

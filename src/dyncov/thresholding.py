@@ -48,7 +48,15 @@ class ThresholdRule:
         if len(values) > len(names):
             form = kind + "".join(f"[:{name}]" for name in names)
             raise ValueError(f"thresholding rule {text!r} has too many parts; write {form}")
-        return cls(kind, **{name: float(value) for name, value in zip(names, values)})
+        params = {}
+        for name, value in zip(names, values):
+            try:
+                params[name] = float(value)
+            except ValueError:
+                raise ValueError(
+                    f"thresholding rule {text!r}: {name} must be a number, got {value!r}"
+                ) from None
+        return cls(kind, **params)
 
     def __str__(self) -> str:
         return ":".join([self.kind] + [f"{getattr(self, name):g}" for name in RULE_PARAMS[self.kind]])
@@ -216,12 +224,12 @@ class ForestCV:
     per-fold raw estimates there.  ``seed`` draws the fold split and every
     fold forest.
 
-    One forest pair is trained on each distinct row set of the fold plan
-    (``_fold_plan``); a pair depends only on its rows, as the config scales
-    with their count and the seed is the run's.  At 2 folds the folds swap
-    roles, so 2 pairs are trained and ``select`` computes 2 raw estimates
-    per point; at V >= 3 it is 2V of each.  ``worker`` grows each pair's
-    second-moment forest (see ``train_cov_forests``).
+    One fit (``train_cov_forests``) is trained on each distinct row set of
+    the fold plan (``_fold_plan``); a fit depends only on its rows, as the
+    config scales with their count and the seed is the run's.  At 2 folds
+    the folds swap roles, so 2 fits are trained and ``select`` computes 2
+    raw estimates per point; at V >= 3 it is 2V of each.  ``worker`` grows
+    each fit's second-moment forest (see ``train_cov_forests``).
     """
 
     def __init__(
@@ -237,15 +245,15 @@ class ForestCV:
         n_cv_trees = max(CV_MIN_TREES, cfg.n_trees // CV_TREE_DIVISOR)
         self.grid_size = grid_size
         sets, self._folds = _fold_plan(np.arange(dataset.n), folds, seed)
-        self._fits = []  # (mean forest, second-moment forest, subset) per row set
-        for rows in sets:
-            sub = dataset.subset(rows)
-            sub_cfg = _subset_config(cfg, len(rows), dataset.n, n_cv_trees)
-            self._fits.append((*train_cov_forests(sub, sub_cfg, seed, worker), sub))
+        self._fits = [
+            train_cov_forests(dataset.subset(rows), _subset_config(cfg, len(rows), dataset.n, n_cv_trees),
+                              seed, worker)
+            for rows in sets
+        ]
 
     def select(self, u: np.ndarray, rule: ThresholdRule, raw: np.ndarray) -> LambdaSelection:
         """Cross-validated penalty at u; the raw estimate at u fixes the grid's upper end."""
-        return _cv_select(lambda s: raw_cov(*self._fits[s], u), self._folds,
+        return _cv_select(lambda s: raw_cov(self._fits[s], u), self._folds,
                           lambda_grid(raw, size=self.grid_size), rule)
 
 

@@ -382,11 +382,12 @@ def reference_load_returns_csv(path, layout):
     return Dataset(y, u, dates)
 
 
-def reference_load_query_csv(path):
-    _, rows = reference_read_numeric_csv(path)
+def reference_load_query_csv(path, covariate_cols):
+    header, rows = reference_read_numeric_csv(path)
+    u_pos = [_col_pos(path, header, c) for c in covariate_cols]
     if not rows:
         raise CsvFormatError(f"{path}: no query rows")
-    return np.array(rows, dtype=float)
+    return np.array([[row[c] for c in u_pos] for row in rows], dtype=float)
 
 
 def reference_write_matrix_csv(path, matrix, header_lines=None):
@@ -453,8 +454,8 @@ def reference_forest_cv_pairs(dataset, config, seed, folds):
     """The ForestCV build that trained a train and a held-out forest pair for every fold.
 
     Kept as the reference for ``ForestCV``, which fits each distinct fold row
-    set once: one ((forests, subset), (forests, subset)) pair per fold, in
-    fold order, the form ``reference_cv_select`` scores.
+    set once: one (train fit, held-out fit) pair per fold, in fold order, the
+    form ``reference_cv_select`` scores.
     """
     cfg = config.resolve(dataset.n, dataset.d)
     n_cv_trees = max(thresholding.CV_MIN_TREES, cfg.n_trees // thresholding.CV_TREE_DIVISOR)
@@ -464,23 +465,22 @@ def reference_forest_cv_pairs(dataset, config, seed, folds):
         hold_ds = dataset.subset(fold)
         train_cfg = thresholding._subset_config(cfg, len(train_idx), dataset.n, n_cv_trees)
         hold_cfg = thresholding._subset_config(cfg, len(fold), dataset.n, n_cv_trees)
-        train_forests = train_cov_forests(train_ds, train_cfg, seed)
-        hold_forests = train_cov_forests(hold_ds, hold_cfg, seed)
-        pairs.append(((train_forests, train_ds), (hold_forests, hold_ds)))
+        pairs.append((train_cov_forests(train_ds, train_cfg, seed),
+                      train_cov_forests(hold_ds, hold_cfg, seed)))
     return pairs
 
 
 def _reference_forest_estimates(dataset, config, points, rules, worker):
     """Thresholded forest estimates at every query point, one list per rule."""
-    forests = simulation.train_cov_forests(dataset, config.forest, config.seed, worker)
+    fit = simulation.train_cov_forests(dataset, config.forest, config.seed, worker)
     cv = simulation.ForestCV(dataset, config.forest, config.seed, folds=config.folds,
                              grid_size=config.grid_size, worker=worker)
-    raws = [simulation.raw_cov(*forests, dataset, u) for u in points]
+    raws = [simulation.raw_cov(fit, u) for u in points]
     out = {}
     for rule in rules:
         if config.lambda_mode == "shared":
             centroid = dataset.u.mean(axis=0)
-            sel = cv.select(centroid, rule, simulation.raw_cov(*forests, dataset, centroid))
+            sel = cv.select(centroid, rule, simulation.raw_cov(fit, centroid))
             out[rule] = [sel.apply(raw) for raw in raws]
         else:
             out[rule] = [cv.select(u, rule, raw).apply(raw) for u, raw in zip(points, raws)]

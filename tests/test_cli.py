@@ -424,6 +424,32 @@ class TestEstimate:
         assert not (tmp_path / "est").exists()
 
 
+    def test_query_columns_read_by_name(self, tmp_path):
+        # Both files name the point u1 = -0.9, u2 = 0.9.
+        train, query, _ = self._common(tmp_path)
+        argv = ["estimate", "--train", str(train), "--query", str(query),
+                "--response-cols", "y1,y2,y3", "--covariate-cols", "u1,u2",
+                "--trees", "20", "--min-leaf", "2", "--stage", "raw", "--out-dir", str(tmp_path / "est")]
+        written = []
+        for text in ("u1,u2\n-0.9,0.9\n", "u2,u1\n0.9,-0.9\n"):
+            query.write_text(text)
+            assert main(argv) == EXIT_OK
+            written.append((tmp_path / "est" / "sigma_000.csv").read_bytes())
+        assert written[0] == written[1]
+
+    def test_query_without_a_covariate_column(self, tmp_path, capsys):
+        train, query, _ = self._common(tmp_path)
+        query.write_text("x,y\n0.0,0.0\n")
+        code = main([
+            "estimate", "--train", str(train), "--query", str(query),
+            "--response-cols", "y1,y2,y3", "--covariate-cols", "u1,u2",
+            "--trees", "4", "--stage", "raw", "--out-dir", str(tmp_path / "est"),
+        ])
+        assert code == EXIT_USAGE
+        assert f"{query}: column 'u1' not in header" in capsys.readouterr().err
+        assert not (tmp_path / "est").exists()
+
+
 class TestBacktest:
     def _run(self, tmp_path, extra=(), T=30, out="bt"):
         panel = tmp_path / "panel.csv"
@@ -676,6 +702,24 @@ class TestSettings:
     def test_rule_with_more_parts_than_it_takes(self, tmp_path, capsys, monkeypatch, argv, rule):
         self._refused_before_loading(tmp_path, capsys, monkeypatch, argv,
                                      f"thresholding rule '{rule}' has too many parts")
+
+    @pytest.mark.parametrize("argv, rule, message", [
+        (["estimate", "--rule", "scad:abc"], "scad:abc", "a must be a number, got 'abc'"),
+        (["simulate", "--methods", "fdcm:alasso:x"], "alasso:x", "eta must be a number, got 'x'"),
+        (["backtest", "--method", "mfdcm:scad:"], "scad:", "a must be a number, got ''"),
+    ], ids=["estimate", "simulate", "backtest"])
+    def test_non_numeric_rule_parameter(self, tmp_path, capsys, monkeypatch, argv, rule, message):
+        self._refused_before_loading(tmp_path, capsys, monkeypatch, argv,
+                                     f"thresholding rule '{rule}': {message}")
+
+    @pytest.mark.parametrize("key", ["p", "d", "n", "reps"])
+    def test_simulate_size_below_one(self, tmp_path, capsys, monkeypatch, key):
+        self._refused_before_loading(tmp_path, capsys, monkeypatch, ["simulate", f"--{key}", "0"],
+                                     f"--{key} must be >= 1, got 0")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}=0\n")
+        self._refused_before_loading(tmp_path, capsys, monkeypatch, ["simulate", "--config", str(cfg)],
+                                     f"{cfg}:1: {key} must be >= 1, got 0")
 
     @pytest.mark.parametrize("rule", ["scad:inf", "scad:nan", "alasso:inf", "alasso:nan"])
     @pytest.mark.parametrize("command, flag, prefix", [

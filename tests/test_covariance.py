@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from dyncov.covariance import (
+    CovForests,
     raw_cov,
     train_cov_forests,
     weighted_cov,
@@ -42,13 +43,13 @@ class TestForestMoments:
         # Identical covariates: each forest's one tree is a single leaf, so
         # both moments are plain averages over its J2 members.
         ds = Dataset(np.array(y), np.full((4, 1), 0.5))
-        mean_f, sm_f = train_cov_forests(ds, UNIFORM_CFG, 0)
-        ym, ys = ds.y[j2_indices(tree_view(mean_f, 0))], ds.y[j2_indices(tree_view(sm_f, 0))]
+        fit = train_cov_forests(ds, UNIFORM_CFG, 0)
+        ym = ds.y[j2_indices(tree_view(fit.mean, 0))]
+        ys = ds.y[j2_indices(tree_view(fit.second_moment, 0))]
         mean = ym.mean(axis=0)
         second = (ys[:, :, None] * ys[:, None, :]).mean(axis=0)
-        np.testing.assert_allclose(_second_moment(sm_f, ds, np.array([0.5])), second)
-        np.testing.assert_allclose(raw_cov(mean_f, sm_f, ds, np.array([0.5])),
-                                   second - np.outer(mean, mean))
+        np.testing.assert_allclose(_second_moment(fit.second_moment, ds, np.array([0.5])), second)
+        np.testing.assert_allclose(raw_cov(fit, np.array([0.5])), second - np.outer(mean, mean))
 
     @pytest.mark.parametrize("c, n, trees, seed", [
         ([2.0, -1.0], 20, 5, 0),
@@ -59,18 +60,20 @@ class TestForestMoments:
         # zero raw estimate leaves the weighted mean c (both weights are >= 0).
         c = np.array(c)
         ds = Dataset(np.tile(c, (n, 1)), np.random.default_rng(seed).uniform(-1, 1, (n, 1)))
-        forests = train_cov_forests(ds, ForestConfig(n_trees=trees, min_leaf=2), 0)
+        fit = train_cov_forests(ds, ForestConfig(n_trees=trees, min_leaf=2), 0)
         for u in ([-0.5], [0.0], [0.2], [0.9]):
-            np.testing.assert_allclose(_second_moment(forests[1], ds, np.array(u)),
+            np.testing.assert_allclose(_second_moment(fit.second_moment, ds, np.array(u)),
                                        np.outer(c, c), atol=1e-14)
-            np.testing.assert_allclose(raw_cov(*forests, ds, np.array(u)), 0.0, atol=1e-14)
+            np.testing.assert_allclose(raw_cov(fit, np.array(u)), 0.0, atol=1e-14)
 
     def test_kind_guard(self):
+        # A fit refuses, when it is made, a forest of the wrong response kind.
         ds = make_dataset(n=10, p=2, d=1, seed=0)
-        mean_f, sm_f = train_cov_forests(ds, ForestConfig(n_trees=1, min_leaf=2), 0)
+        fit = train_cov_forests(ds, ForestConfig(n_trees=1, min_leaf=2), 0)
+        mean_f, sm_f = fit.mean, fit.second_moment
         for forests in ((sm_f, sm_f), (mean_f, mean_f), (sm_f, mean_f)):
             with pytest.raises(ValueError, match="response kind"):
-                raw_cov(*forests, ds, np.zeros(1))
+                CovForests(*forests, ds)
 
     def test_second_moment_symmetric(self):
         ds = make_dataset(n=40, p=4, d=2, seed=5)
@@ -145,62 +148,63 @@ class TestWeightedCov:
 class TestRawCov:
     def test_hand_example_p1(self):
         ds = Dataset(np.array([[1.0], [-1.0], [1.0], [-1.0]]), np.full((4, 1), 0.5))
-        mean_f, sm_f = train_cov_forests(ds, UNIFORM_CFG, 0)
-        est = raw_cov(mean_f, sm_f, ds, np.array([0.5]))
+        fit = train_cov_forests(ds, UNIFORM_CFG, 0)
+        est = raw_cov(fit, np.array([0.5]))
         # Single unsplittable leaf: second moment 1, mean 0 (even J2 split of +-1)
         # or +-1 mean when the J2 half is unbalanced; both forests share the
         # subsample stream per kind, so just check Eq. by hand from weights.
         from dyncov.forest import weight_vector
 
-        a = to_dense(weight_vector(mean_f, np.array([0.5])))
-        b = to_dense(weight_vector(sm_f, np.array([0.5])))
+        a = to_dense(weight_vector(fit.mean, np.array([0.5])))
+        b = to_dense(weight_vector(fit.second_moment, np.array([0.5])))
         expected = (b * ds.y[:, 0] ** 2).sum() - (a * ds.y[:, 0]).sum() ** 2
         np.testing.assert_allclose(est, [[expected]])
 
     def test_constant_responses_zero_matrix(self):
         c = np.array([3.0, 1.0, -2.0])
         ds = Dataset(np.tile(c, (20, 1)), np.random.default_rng(3).uniform(-1, 1, (20, 1)))
-        forests = train_cov_forests(ds, ForestConfig(n_trees=5, min_leaf=2), 0)
-        est = raw_cov(*forests, ds, np.array([0.0]))
+        fit = train_cov_forests(ds, ForestConfig(n_trees=5, min_leaf=2), 0)
+        est = raw_cov(fit, np.array([0.0]))
         np.testing.assert_allclose(est, np.zeros((3, 3)), atol=1e-12)
 
     def test_materialized_weights_oracle(self):
         # Literal evaluation with explicit dense weight vectors from the
         # independent routing reference.
         ds = make_dataset(n=25, p=3, d=2, seed=10)
-        forests = train_cov_forests(ds, ForestConfig(n_trees=3, min_leaf=2), 7)
+        fit = train_cov_forests(ds, ForestConfig(n_trees=3, min_leaf=2), 7)
         rng = np.random.default_rng(0)
         for _ in range(5):
             u = rng.uniform(-1, 1, 2)
-            alpha = oracle_weights(forests[0], ds, u)
-            beta = oracle_weights(forests[1], ds, u)
+            alpha = oracle_weights(fit.mean, ds, u)
+            beta = oracle_weights(fit.second_moment, ds, u)
             second = sum(b * np.outer(y, y) for b, y in zip(beta, ds.y))
             mean = (alpha[:, None] * ds.y).sum(axis=0)
             expected = second - np.outer(mean, mean)
-            got = raw_cov(*forests, ds, u)
+            got = raw_cov(fit, u)
             np.testing.assert_allclose(got, expected, atol=1e-10)
 
     def test_symmetric_over_query_grid(self):
         ds = make_dataset(n=40, p=4, d=2, seed=11)
-        forests = train_cov_forests(ds, ForestConfig(n_trees=8, min_leaf=3), 1)
+        fit = train_cov_forests(ds, ForestConfig(n_trees=8, min_leaf=3), 1)
         rng = np.random.default_rng(4)
         for _ in range(10):
-            m = raw_cov(*forests, ds, rng.uniform(-1, 1, 2))
+            m = raw_cov(fit, rng.uniform(-1, 1, 2))
             np.testing.assert_array_equal(m, m.T)
 
     def test_fingerprint_guard(self):
+        # A fit refuses, when it is made, a forest trained on another dataset.
         ds = make_dataset(n=20, p=2, d=1, seed=0)
         other = make_dataset(n=20, p=2, d=1, seed=1)
         cfg = ForestConfig(n_trees=2, min_leaf=2)
-        forests = train_cov_forests(ds, cfg, 0)
+        fit = train_cov_forests(ds, cfg, 0)
         with pytest.raises(ValueError, match="different dataset"):
-            raw_cov(*forests, other, np.zeros(1))
+            CovForests(fit.mean, fit.second_moment, other)
         # A pair of forests from two datasets: either forest fails the check.
         others = train_cov_forests(other, cfg, 0)
-        for pair in ((forests[0], others[1]), (others[0], forests[1])):
+        for pair in ((fit.mean, others.second_moment), (others.mean, fit.second_moment)):
             for data in (ds, other):
                 with pytest.raises(ValueError, match="different dataset"):
-                    raw_cov(*pair, data, np.zeros(1))
+                    CovForests(*pair, data)
 
     def test_monotone_covariate_transform_at_training_points(self):
         # Strictly increasing per-coordinate maps preserve covariate ranks, so
@@ -209,13 +213,13 @@ class TestRawCov:
         # subsamples (see the property below, which takes every row).
         ds = make_dataset(n=40, p=3, d=2, seed=13)
         cfg = ForestConfig(n_trees=10, min_leaf=3)
-        forests = train_cov_forests(ds, cfg, 3)
+        fit = train_cov_forests(ds, cfg, 3)
         u2 = np.stack([ds.u[:, 0] ** 3, np.exp(ds.u[:, 1])], axis=1)
         ds2 = Dataset(ds.y.copy(), u2)
-        forests2 = train_cov_forests(ds2, cfg, 3)
+        fit2 = train_cov_forests(ds2, cfg, 3)
         for i in (0, 7, 23):
-            a = raw_cov(*forests, ds, ds.u[i])
-            b = raw_cov(*forests2, ds2, ds2.u[i])
+            a = raw_cov(fit, ds.u[i])
+            b = raw_cov(fit2, ds2.u[i])
             np.testing.assert_array_equal(a, b)
 
     # Strictly increasing maps of [-1, 1], each with a free parameter c > 0.
@@ -273,8 +277,8 @@ class TestRawCov:
         cfg = ForestConfig(n_trees=trees, subsample_size=n, min_leaf=min_leaf,
                            random_split_prob=random_split_prob)
         ds, ds2 = Dataset(y, u), Dataset(y, mapped)
-        pairs = zip(train_cov_forests(ds, cfg, seed), train_cov_forests(ds2, cfg, seed))
-        for forest, forest2 in pairs:
+        fit, fit2 = train_cov_forests(ds, cfg, seed), train_cov_forests(ds2, cfg, seed)
+        for forest, forest2 in ((fit.mean, fit2.mean), (fit.second_moment, fit2.second_moment)):
             for i in range(n):
                 a, b = weight_vector(forest, ds.u[i]), weight_vector(forest2, ds2.u[i])
                 np.testing.assert_array_equal(a.indices, b.indices)

@@ -270,7 +270,9 @@ class TestStreamedLoader:
         assert _outcome(load_returns_csv, path, layout) == _outcome(
             reference_load_returns_csv, path, layout
         )
-        assert _outcome(load_query_csv, path) == _outcome(reference_load_query_csv, path)
+        assert _outcome(load_query_csv, path, layout.covariate_cols) == _outcome(
+            reference_load_query_csv, path, layout.covariate_cols
+        )
 
     def test_peak_memory_near_returned_arrays(self, tmp_path):
         # A Python float per cell would cost over 4x the returned arrays.

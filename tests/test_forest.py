@@ -511,6 +511,13 @@ class TestTrainForest:
         with pytest.raises(ValueError, match="mtry must satisfy"):
             train_forest(ds, ForestConfig(mtry=3, min_leaf=2), ResponseKind.MEAN, 0)
 
+    def test_rules_checked_at_construction(self):
+        # The data-free rules hold for every config that exists.
+        with pytest.raises(ValueError, match="n_trees must be >= 1, got 0"):
+            ForestConfig(n_trees=0)
+        with pytest.raises(ValueError, match="regularity"):
+            dataclasses.replace(ForestConfig(), regularity=float("nan"))
+
     def test_main_forest_needs_a_root_split(self):
         # s=8 leaves |J2|=4, two leaves of 2; s=7 leaves 3, one leaf of 2 only.
         assert ForestConfig(subsample_size=8, min_leaf=2).resolve_main(10, 1).subsample_size == 8

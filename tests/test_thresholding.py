@@ -227,14 +227,14 @@ class TestLambdaGrid:
             LambdaSelection(lam=0.1, grid=np.array([0.1, 0.2]), cv_scores=np.zeros(2), rule=soft)
 
 
-def _select(ds, forests, u, rule, folds, grid_size=20, cv=None):
+def _select(fit, u, rule, folds, grid_size=20, cv=None):
     """Cross-validated lambda at u, the way the CLI subcommands pick it."""
-    cv = cv or ForestCV(ds, forests[0].config, 0, folds=folds, grid_size=grid_size)
-    return cv.select(u, rule, raw_cov(*forests, ds, u))
+    cv = cv or ForestCV(fit.dataset, fit.mean.config, 0, folds=folds, grid_size=grid_size)
+    return cv.select(u, rule, raw_cov(fit, u))
 
 
 class TestSelectLambda:
-    def _forests(self, dataset, trees=40):
+    def _fit(self, dataset, trees=40):
         cfg = ForestConfig(n_trees=trees, min_leaf=3)
         return train_cov_forests(dataset, cfg.resolve(dataset.n, dataset.d), 0)
 
@@ -242,16 +242,14 @@ class TestSelectLambda:
         # p = 1 has no off-diagonal, so the grid collapses to {0}.
         gen = np.random.default_rng(0)
         ds = Dataset(gen.standard_normal((30, 1)), gen.uniform(-1, 1, (30, 1)))
-        forests = self._forests(ds)
-        sel = _select(ds, forests, np.zeros(1), ThresholdRule("soft"), folds=3)
+        sel = _select(self._fit(ds), np.zeros(1), ThresholdRule("soft"), folds=3)
         assert sel.lam == 0.0
         assert len(sel.grid) == 1
 
     def test_scores_align_with_grid(self):
         spec = ModelSpec(model=1, p=4, d=2, n=40)
         ds = sample_dataset(spec, np.random.default_rng(1))
-        forests = self._forests(ds)
-        sel = _select(ds, forests, np.zeros(2), ThresholdRule("soft"), folds=3, grid_size=20)
+        sel = _select(self._fit(ds), np.zeros(2), ThresholdRule("soft"), folds=3, grid_size=20)
         assert len(sel.grid) == 21
         assert len(sel.cv_scores) == 21
         assert sel.lam == sel.grid[int(np.argmin(sel.cv_scores))]
@@ -262,11 +260,11 @@ class TestSelectLambda:
         spec = ModelSpec(model=3, p=8, d=2, n=200)
         ds = sample_dataset(spec, np.random.default_rng(4))
         cfg = ForestConfig(n_trees=100, min_leaf=4).resolve(ds.n, ds.d)
-        forests = train_cov_forests(ds, cfg, 0)
+        fit = train_cov_forests(ds, cfg, 0)
         u = np.array([-0.9, 0.0])
         rule = ThresholdRule("soft")
-        sel = _select(ds, forests, u, rule, folds=5)
-        final = sel.apply(raw_cov(*forests, ds, u))
+        sel = _select(fit, u, rule, folds=5)
+        final = sel.apply(raw_cov(fit, u))
         assert sel.rule == rule
         off = final - np.diag(np.diagonal(final))
         assert np.count_nonzero(off) == 0
@@ -274,11 +272,11 @@ class TestSelectLambda:
     def test_cv_reuse_matches_fresh(self):
         spec = ModelSpec(model=1, p=3, d=2, n=40)
         ds = sample_dataset(spec, np.random.default_rng(2))
-        forests = self._forests(ds)
-        cv = ForestCV(ds, forests[0].config, 0, folds=3)
+        fit = self._fit(ds)
+        cv = ForestCV(ds, fit.mean.config, 0, folds=3)
         u = np.array([0.2, -0.1])
-        fresh = _select(ds, forests, u, ThresholdRule("soft"), folds=3)
-        reused = _select(ds, forests, u, ThresholdRule("soft"), folds=3, cv=cv)
+        fresh = _select(fit, u, ThresholdRule("soft"), folds=3)
+        reused = _select(fit, u, ThresholdRule("soft"), folds=3, cv=cv)
         assert fresh.lam == reused.lam
         np.testing.assert_array_equal(fresh.cv_scores, reused.cv_scores)
 
@@ -304,18 +302,18 @@ class TestForestCVFits:
         ref = reference_forest_cv_pairs(ds, cfg, 7, folds)
         assert len(cv._folds) == len(ref) == folds
         for fold, want_pair in zip(cv._folds, ref):
-            for s, (want_forests, want_ds) in zip(fold, want_pair):
-                *got_forests, got_ds = cv._fits[s]
-                assert got_ds.fingerprint() == want_ds.fingerprint()
-                assert all(map(same_forest, got_forests, want_forests))
-        forests = train_cov_forests(ds, cfg.resolve(ds.n, ds.d), 7)
+            for s, want in zip(fold, want_pair):
+                got = cv._fits[s]
+                assert got.dataset.fingerprint() == want.dataset.fingerprint()
+                assert same_forest(got.mean, want.mean)
+                assert same_forest(got.second_moment, want.second_moment)
+        fit = train_cov_forests(ds, cfg.resolve(ds.n, ds.d), 7)
         for u in ([0.0, 0.0], [0.5, -0.3], [-0.9, 0.8]):
             u = np.array(u)
-            raw = raw_cov(*forests, ds, u)
+            raw = raw_cov(fit, u)
             for rule in (ThresholdRule("soft"), ThresholdRule("scad")):
                 got = cv.select(u, rule, raw)
-                pairs = ((raw_cov(*fit, fit_ds, u), raw_cov(*held, held_ds, u))
-                         for (fit, fit_ds), (held, held_ds) in ref)
+                pairs = ((raw_cov(train, u), raw_cov(held, u)) for train, held in ref)
                 want = reference_cv_select(pairs, lambda_grid(raw), rule)
                 assert got.lam == want.lam
                 assert got.grid.tobytes() == want.grid.tobytes()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dyncov._worker import ForkWorker
-from dyncov.covariance import InProcess, train_cov_forests
+from dyncov.covariance import train_cov_forests
 from dyncov.forest import ForestConfig
 from tests.conftest import make_dataset, same_forest
 
@@ -65,6 +65,7 @@ def test_unread_reply_is_dropped_by_the_next_submit(worker):
 def test_forests_match_the_in_process_ones(worker):
     ds = make_dataset(n=30, p=3, d=2, seed=2)
     cfg = ForestConfig(n_trees=5, min_leaf=2)
-    here = train_cov_forests(ds, cfg, 4, InProcess())
+    here = train_cov_forests(ds, cfg, 4, None)
     forked = train_cov_forests(ds, cfg, 4, worker)
-    assert all(same_forest(a, b) for a, b in zip(here, forked))
+    assert same_forest(here.mean, forked.mean)
+    assert same_forest(here.second_moment, forked.second_moment)

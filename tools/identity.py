@@ -14,11 +14,13 @@ The runs: every benchmark workload's argv at seeds 0 and 1, on inputs made by
 ``benchmarks/workloads.py``'s ``cached_inputs`` in a temporary directory
 (``benchmarks/`` itself is never written to), and
 extra argvs that put every arm through 2 and 3 folds and 1 and 2 workers:
-``simulate`` with all five arms on models 3 and 4, ``estimate`` on the
-estimate-query inputs, and ``backtest`` with each arm kind on the
-backtest-rolling panel; rules are given with their default parameter and
-with an explicit one.  Last, ``estimate --stage raw`` on n = 8,000 rows
-(``PROBE``), whose wide split nodes can fall back to the exact scan.
+``simulate`` with all five arms on models 3 and 4 and, with
+``--lambda-mode shared``, on model 3; ``estimate`` at the ``corrected`` and
+``thresholded`` stages on the estimate-query inputs; and ``backtest`` with
+each arm kind on the backtest-rolling panel.  Rules are given with their
+default parameter and with an explicit one.  Last, ``estimate --stage raw``
+on n = 8,000 rows (``PROBE``), whose wide split nodes can fall back to the
+exact scan.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ SEEDS = (0, 1)
 ARMS = "fdcm:soft,mfdcm:scad,mfdcm:scad:3.2,static:hard,kernel:2:soft,mkernel:1:alasso,mkernel:1:alasso:2.5"
 BACKTEST_ARMS = ("identity", "static:soft", "static:alasso:2.5", "mkernel:2:hard", "mfdcm:scad")
 ESTIMATE_RULES = ("hard", "alasso:2.5")
+ESTIMATE_STAGES = ("corrected", "thresholded")
 PROBE = Workload("n8000-probe", "wide split nodes", "estimate", ("--stage", "raw", "--trees", "4"),
                  model=1, n=8000, p=50, d=3, queries=5)
 RUN = "import sys; from dyncov.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -52,15 +55,16 @@ def runs():
         yield f"{name} seed {seed}", w, seed, w.argv(seed)
     query, rolling = WORKLOADS["estimate-query"], WORKLOADS["backtest-rolling"]
     for folds, workers in itertools.product(("2", "3"), ("1", "2")):
-        for model in ("3", "4"):
-            yield f"simulate model {model} folds {folds} workers {workers}", None, 0, [
+        for model, mode in (("3", "per-point"), ("4", "per-point"), ("3", "shared")):
+            yield f"simulate model {model} lambda-mode {mode} folds {folds} workers {workers}", None, 0, [
                 "simulate", "--model", model, "--p", "12", "--d", "3", "--n", "60", "--reps", "2",
                 "--trees", "40", "--methods", ARMS, "--folds", folds, "--workers", workers,
-                "--seed", "0", "--out", "sim",
+                "--lambda-mode", mode, "--seed", "0", "--out", "sim",
             ]
-        for rule in ESTIMATE_RULES:
-            yield f"estimate {rule} folds {folds} workers {workers}", query, 0, _replace(
-                query.argv(0), {"--trees": "40", "--rule": rule, "--folds": folds, "--workers": workers}
+        for rule, stage in itertools.product(ESTIMATE_RULES, ESTIMATE_STAGES):
+            yield f"estimate {rule} stage {stage} folds {folds} workers {workers}", query, 0, _replace(
+                query.argv(0),
+                {"--trees": "40", "--rule": rule, "--stage": stage, "--folds": folds, "--workers": workers},
             )
         for arm in BACKTEST_ARMS:
             yield f"backtest {arm} folds {folds} workers {workers}", rolling, 0, _replace(
